@@ -9,10 +9,15 @@ FUZZTIME ?= 5s
 # PR; the floor leaves a small margin for refactors).
 COVER_THRESHOLD ?= 88.0
 
-.PHONY: build test vet lint lint-sarif lint-selftest race fuzz-smoke bench-smoke bench-json bench-baseline bench-gate cover serve-test cover-serve verify clean
+.PHONY: build fmt test vet lint lint-sarif lint-selftest race fuzz-smoke bench-smoke bench-json bench-baseline bench-gate cover serve-test cover-serve verify clean
 
 build:
 	$(GO) build ./...
+
+# fmt: every Go file must be gofmt-clean; lists the offenders and fails
+# otherwise.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # -shuffle=on randomizes test (and subtest) execution order so hidden
 # ordering assumptions surface early.
@@ -53,6 +58,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBitio$$ -fuzztime=$(FUZZTIME) ./internal/bitio
 	$(GO) test -run='^$$' -fuzz=FuzzBitioReader$$ -fuzztime=$(FUZZTIME) ./internal/bitio
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeECQ$$ -fuzztime=$(FUZZTIME) ./internal/encoding
 	$(GO) test -run='^$$' -fuzz=FuzzDecompress$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBlockReader$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFusedCompress$$ -fuzztime=$(FUZZTIME) ./internal/core
@@ -115,7 +121,7 @@ bench-baseline:
 		< bench_baseline.txt
 	@rm -f bench_baseline.txt
 
-# bench-gate: the perf gate, two checks. (1) Regression: re-measure the
+# bench-gate: the perf gate, three checks. (1) Regression: re-measure the
 # tracked kernel benchmarks and compare their medians against the
 # committed BENCH_PR9.json "current" section — a kernel whose median
 # ns/op worsens beyond BENCH_GATE_THRESHOLD fails the build. The
@@ -129,7 +135,13 @@ bench-baseline:
 # must beat the committed staged baseline_staged section by at least
 # BENCH_RECORD_SPEEDUP on the serial (ff|ff) compress — the
 # fused-pipeline PR's acceptance criterion, checked deterministically
-# from the committed medians so it cannot flake.
+# from the committed medians so it cannot flake. (3) Decode record: in
+# BENCH_PR15.json the word-window ECQ decoder ("current") must beat the
+# symbol-at-a-time decoder it replaced ("parent") by at least 1.3x on
+# the (ff|ff) block decode. Both sections hold
+# BenchmarkDecodeBlock and BenchmarkDecompressCollect, measured with
+# `go test -c` binaries of the two commits run in alternating rounds on
+# one machine and written with cmd/benchjson -label parent / current.
 BENCH_GATE_TIME ?= 1s
 BENCH_GATE_COUNT ?= 5
 BENCH_GATE_THRESHOLD ?= 25
@@ -145,6 +157,8 @@ bench-gate:
 	$(GO) run ./cmd/benchdiff -bench 'BenchmarkCompressWorkersFF/serial' \
 		-minspeedup $(BENCH_RECORD_SPEEDUP) \
 		$(BENCH_JSON):baseline_staged $(BENCH_JSON):current
+	$(GO) run ./cmd/benchdiff -bench 'BenchmarkDecodeBlock/ff' -minspeedup 1.3 \
+		BENCH_PR15.json:parent BENCH_PR15.json:current
 
 # cover: combined coverage of the codec core (internal/core +
 # internal/encoding) over their own tests plus the public-API suite;
@@ -188,7 +202,7 @@ cover-serve:
 			printf "combined server+store+blockcache coverage: %s%% (floor $(COVER_SERVE_THRESHOLD)%%)\n", pct; \
 			if (pct + 0 < $(COVER_SERVE_THRESHOLD)) { exit 1 } }'
 
-verify: build test vet lint lint-selftest race fuzz-smoke bench-smoke bench-gate cover serve-test cover-serve
+verify: build fmt test vet lint lint-selftest race fuzz-smoke bench-smoke bench-gate cover serve-test cover-serve
 	@echo "verify: OK"
 
 clean:

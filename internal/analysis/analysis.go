@@ -19,8 +19,10 @@
 //
 //	//lint:floatcmp-ok        exact comparison is intentional here
 //
-// The marker names the analyzer; unknown names are ignored. Test files
-// are not analyzed: fixtures use dedicated testdata packages instead.
+// The marker names the analyzer; the lintmarker analyzer reports a
+// marker that names none. Test files are not analyzed (lintmarker only
+// reads their comments): fixtures use dedicated testdata packages
+// instead.
 package analysis
 
 import (
@@ -85,6 +87,7 @@ func All() []*Analyzer {
 		SlogKey,
 		SpanEnd,
 		SloConst,
+		LintMarker,
 	}
 }
 

@@ -1,6 +1,15 @@
 package analysis
 
-import "testing"
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestFloatCmp(t *testing.T) {
 	runFixture(t, FloatCmp, "floatcmp", fixtureModPath+"/internal/fixtures")
@@ -58,6 +67,41 @@ func TestAtomicMix(t *testing.T) {
 
 func TestDeferLoop(t *testing.T) {
 	runModuleFixture(t, DeferLoop, "deferloop", fixtureModPath+"/internal/fixtures")
+}
+
+func TestLintMarker(t *testing.T) {
+	runFixture(t, LintMarker, "lintmarker", fixtureModPath+"/internal/fixtures")
+}
+
+// TestLintMarkerReadsTestFiles checks that lintmarker also reports a
+// stray marker in a _test.go file, which the loader never type-checks.
+func TestLintMarkerReadsTestFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"a.go":      "package p\n\nfunc F() int { return 1 } //lint:nopanic-ok fine\n",
+		"a_test.go": "package p\n\nvar _ = F() //lint:errcmp-ok stray\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join(dir, "a.go"), nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := newTypesInfo()
+	tpkg, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := &Package{Path: "p", Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
+	diags := RunPackage(pkg, []*Analyzer{LintMarker})
+	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "a_test.go" || diags[0].Pos.Line != 3 ||
+		!strings.Contains(diags[0].Message, "errcmp") {
+		t.Fatalf("diagnostics = %v, want one errcmp finding at a_test.go:3", diags)
+	}
 }
 
 func TestSelect(t *testing.T) {

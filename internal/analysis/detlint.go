@@ -10,8 +10,8 @@ import (
 
 // DetLint guards the determinism contract from the parallel-pipeline
 // PR: compressed output is byte-identical at any worker count, so
-// nothing on an output path may depend on map iteration order, wall
-//-clock time, random numbers, or which goroutine happens to finish
+// nothing on an output path may depend on map iteration order,
+// wall-clock time, random numbers, or which goroutine happens to finish
 // first. The analyzer computes the set of functions reachable (via the
 // flow call graph) from the output roots — any function whose name
 // starts with Compress, and every method of ParallelStreamWriter — and

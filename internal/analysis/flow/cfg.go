@@ -61,8 +61,8 @@ func New(body *ast.BlockStmt) *Graph {
 // (for goto), plus break/continue targets when the label names a loop,
 // switch or select.
 type labelInfo struct {
-	block     *Block // block the labeled statement starts in
-	breakTo   *Block
+	block      *Block // block the labeled statement starts in
+	breakTo    *Block
 	continueTo *Block
 }
 

@@ -121,7 +121,7 @@ func (c *hotChecker) checkCall(stack []ast.Node, call *ast.CallExpr) {
 		if !c.appendInPlace(stack, call) {
 			c.p.Reportf(call.Pos(),
 				"append result in hot function %s does not feed back into its destination; use x = append(x, ...) on reusable scratch or annotate //lint:hotalloc2-ok",
-			c.where)
+				c.where)
 		}
 		return
 	case "":

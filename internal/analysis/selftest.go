@@ -40,6 +40,7 @@ func Selftest(modRoot string) ([]Finding, error) {
 		{"detlint", fixtureMod + "/internal/fixtures", []string{"detlint"}},
 		{"atomicmix", fixtureMod + "/internal/fixtures", []string{"atomicmix"}},
 		{"deferloop", fixtureMod + "/internal/fixtures", []string{"deferloop"}},
+		{"lintmarker", fixtureMod + "/internal/fixtures", []string{"lintmarker"}},
 	}
 	fset := token.NewFileSet()
 	importer := StdImporter(fset)

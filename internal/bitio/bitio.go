@@ -150,11 +150,18 @@ type Reader struct {
 	cur  uint64 // bit reservoir: valid bits are the low `n` bits (higher bits are stale)
 	n    uint   // valid bits in cur
 	read uint64 // total bits consumed
+	// pad holds buf[padOff:] followed by zero bytes, so Peek serves the
+	// last bytes with the same eight-byte load as the rest.
+	pad    [16]byte
+	padOff int
 }
 
-// NewReader returns a Reader over buf. The Reader does not copy buf.
+// NewReader returns a Reader over buf. The Reader does not copy buf
+// (only its last eight bytes, into Peek's tail pad).
 func NewReader(buf []byte) *Reader {
-	return &Reader{buf: buf}
+	r := &Reader{}
+	r.Reset(buf)
+	return r
 }
 
 // Reset re-points the reader at buf and rewinds it.
@@ -164,17 +171,32 @@ func (r *Reader) Reset(buf []byte) {
 	r.cur = 0
 	r.n = 0
 	r.read = 0
+	r.padOff = max(len(buf)-8, 0)
+	r.pad = [16]byte{}
+	copy(r.pad[:], buf[r.padOff:])
 }
 
-// fill tops up the reservoir. When the reservoir is empty and eight
-// bytes remain, a whole word is loaded at once; otherwise bytes are
-// added until the reservoir holds more than 56 bits or input runs out.
+// fill tops up the reservoir. An empty reservoir restarts at the byte
+// holding the next bit — a whole word at once while eight bytes remain
+// (its bits above the read position count as stale) — so it also picks
+// up after Consume, which only moves the read position. Otherwise bytes
+// are added until the reservoir holds more than 56 bits or input runs
+// out.
 func (r *Reader) fill() {
-	if r.n == 0 && r.pos+8 <= len(r.buf) {
-		r.cur = binary.BigEndian.Uint64(r.buf[r.pos:])
-		r.pos += 8
-		r.n = 64
-		return
+	if r.n == 0 {
+		r.pos = int(r.read >> 3)
+		skip := uint(r.read & 7)
+		if r.pos+8 <= len(r.buf) {
+			r.cur = binary.BigEndian.Uint64(r.buf[r.pos:])
+			r.pos += 8
+			r.n = 64 - skip
+			return
+		}
+		if skip > 0 { // mid-byte, so the byte exists
+			r.cur = uint64(r.buf[r.pos])
+			r.pos++
+			r.n = 8 - skip
+		}
 	}
 	for r.n <= 56 && r.pos < len(r.buf) {
 		r.cur = r.cur<<8 | uint64(r.buf[r.pos])
@@ -327,6 +349,41 @@ func (r *Reader) ReadZeroRun(max uint) uint {
 	return total
 }
 
+// Peek returns the stream's next bits left-aligned in a word, without
+// consuming them, and the number n of them that are real stream bits;
+// the bits below those n are zero. The window is one unaligned
+// big-endian load: n = 64 - BitsRead()%8 (57..64) while eight bytes
+// remain from the byte holding the next bit, and in the last bytes the
+// load comes from a zero-padded copy of them and n counts the rest of
+// the stream exactly (n = 0 at end of input). Peek pairs with Consume:
+// a word-window decoder peeks once, decodes every code that lies
+// wholly inside the n real bits with shifts, and consumes what it used,
+// so the reader's position and its ErrUnexpectedEOF behaviour stay
+// those of the equivalent ReadBits calls.
+func (r *Reader) Peek() (uint64, uint) {
+	p := r.read
+	i := int(p >> 3)
+	b := r.buf
+	if i+8 > len(b) {
+		b, i = r.pad[:], i-r.padOff
+	}
+	n := 64 - uint(p&7)
+	if left := uint64(len(r.buf))*8 - p; left < uint64(n) {
+		n = uint(left)
+	}
+	return binary.BigEndian.Uint64(b[i:]) << (p & 7), n
+}
+
+// Consume advances the reader by k bits. k must not exceed the real
+// bits of the last Peek (or of the stream). It only moves the read
+// position and empties the reservoir; the next ReadBits, ReadBit or
+// ReadZeroRun refills from the new position, so they continue exactly
+// where the window decoder stopped.
+func (r *Reader) Consume(k uint) {
+	r.read += uint64(k)
+	r.n = 0
+}
+
 // BitsRead reports the total number of bits consumed so far.
 func (r *Reader) BitsRead() uint64 { return r.read }
 
@@ -335,7 +392,9 @@ func (r *Reader) AlignByte() {
 	drop := r.read % 8
 	if drop != 0 {
 		skip := 8 - drop
-		r.n -= uint(skip)
+		if r.n > 0 { // a live reservoir holds at least the rest of the byte
+			r.n -= uint(skip)
+		}
 		r.read += skip
 	}
 }

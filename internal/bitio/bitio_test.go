@@ -367,3 +367,68 @@ func TestBitsReadAccounting(t *testing.T) {
 		t.Fatalf("BitsRead = %d, want 11", r.BitsRead())
 	}
 }
+
+// TestPeekConsumeEveryPosition walks a stream whose length is not a
+// multiple of eight bytes, so both Peek's word load and its zero-padded
+// tail are hit at every bit offset, and checks that ReadBit, ReadBits
+// and AlignByte pick up exactly where Consume left the reader.
+func TestPeekConsumeEveryPosition(t *testing.T) {
+	data := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd}
+	total := uint(len(data)) * 8
+	ref := NewReader(data)
+	var bits []uint
+	for {
+		b, err := ref.ReadBit()
+		if err != nil {
+			break
+		}
+		bits = append(bits, b)
+	}
+	for pos := uint(0); pos <= total; pos++ {
+		r := NewReader(data)
+		r.Consume(pos)
+		w, n := r.Peek()
+		if want := min(64-pos%8, total-pos); n != want {
+			t.Fatalf("pos %d: Peek real bits %d, want %d", pos, n, want)
+		}
+		for i := uint(0); i < 64; i++ {
+			want := uint(0)
+			if i < n {
+				want = bits[pos+i]
+			}
+			if got := uint(w>>(63-i)) & 1; got != want {
+				t.Fatalf("pos %d: window bit %d = %d, want %d", pos, i, got, want)
+			}
+		}
+		if pos < total {
+			if b, err := r.ReadBit(); err != nil || b != bits[pos] {
+				t.Fatalf("pos %d: ReadBit after Consume = %d, %v", pos, b, err)
+			}
+			r.AlignByte()
+			if want := uint64((pos + 8) &^ 7); r.BitsRead() != want {
+				t.Fatalf("pos %d: AlignByte after ReadBit at %d, want %d", pos, r.BitsRead(), want)
+			}
+		}
+		r = NewReader(data)
+		r.Consume(pos)
+		r.AlignByte()
+		at := (pos + 7) &^ 7
+		if r.BitsRead() != uint64(at) {
+			t.Fatalf("pos %d: AlignByte after Consume at %d, want %d", pos, r.BitsRead(), at)
+		}
+		v, err := r.ReadBits(13)
+		if at+13 > total {
+			if err != ErrUnexpectedEOF {
+				t.Fatalf("pos %d: ReadBits(13) past the end: %v", pos, err)
+			}
+			continue
+		}
+		var want uint64
+		for _, b := range bits[at : at+13] {
+			want = want<<1 | uint64(b)
+		}
+		if err != nil || v != want {
+			t.Fatalf("pos %d: ReadBits(13) after AlignByte = %#x, %v; want %#x", pos, v, err, want)
+		}
+	}
+}

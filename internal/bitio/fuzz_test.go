@@ -1,9 +1,6 @@
 package bitio
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // FuzzBitio round-trips arbitrary (width, value) sequences through
 // WriteBits/ReadBits and WriteSigned/ReadSigned for widths 1..64: every
@@ -113,28 +110,68 @@ func truncSigned(v uint64, width uint) int64 {
 	return int64(m)
 }
 
-// FuzzBitioReader feeds arbitrary bytes to the reader side alone: reads
-// beyond the buffer must return io.ErrUnexpectedEOF-style errors, never
-// panic, and BitsRead must never exceed the available bits.
+// FuzzBitioReader feeds arbitrary bytes to the reader side alone and
+// checks every read against a bit-at-a-time oracle. The ops script
+// interleaves ReadBits with the word-window pair: an even op byte reads
+// op/2%64+1 bits, an odd one Peeks and Consumes a share of the window's
+// real bits. Then ReadBits(width) repeats until the stream ends. Reads
+// past the end must fail with ErrUnexpectedEOF after consuming the rest
+// of the stream, never panic; Peek must return the next stream bits
+// left-aligned, zero below the documented count of real bits.
 func FuzzBitioReader(f *testing.F) {
-	f.Add([]byte{}, uint(1))
-	f.Add([]byte{0xff, 0x00, 0xaa}, uint(13))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint(64))
-	f.Fuzz(func(t *testing.T, b []byte, width uint) {
+	f.Add([]byte{}, uint(1), []byte{})
+	f.Add([]byte{0xff, 0x00, 0xaa}, uint(13), []byte{1, 4})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint(64), []byte{6, 0x81, 127, 0xff, 3})
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xf0}, uint(7), []byte{13, 0x41, 9, 0x7f, 0x33, 1})
+	f.Fuzz(func(t *testing.T, b []byte, width uint, ops []byte) {
 		width = width%64 + 1
+		total := uint64(len(b)) * 8
+		bit := func(i uint64) uint64 { return uint64(b[i/8]>>(7-i%8)) & 1 }
+		want := func(pos uint64, w uint) uint64 { // w bits from pos, zeros past the end
+			var v uint64
+			for i := uint64(0); i < uint64(w); i++ {
+				v <<= 1
+				if pos+i < total {
+					v |= bit(pos + i)
+				}
+			}
+			return v
+		}
 		r := NewReader(b)
-		avail := uint64(len(b)) * 8
-		for {
-			_, err := r.ReadBits(width)
-			if err != nil {
-				break
+		read := func(w uint) bool {
+			pos := r.BitsRead()
+			got, err := r.ReadBits(w)
+			if pos+uint64(w) > total {
+				if err != ErrUnexpectedEOF || r.BitsRead() != total {
+					t.Fatalf("ReadBits(%d) at %d of %d: err %v, BitsRead %d", w, pos, total, err, r.BitsRead())
+				}
+				return false
 			}
-			if r.BitsRead() > avail {
-				t.Fatalf("BitsRead %d exceeds %d available bits", r.BitsRead(), avail)
+			if err != nil || got != want(pos, w) || r.BitsRead() != pos+uint64(w) {
+				t.Fatalf("ReadBits(%d) at %d = %#x, %v; want %#x", w, pos, got, err, want(pos, w))
 			}
-			if r.BitsRead() > math.MaxUint32 {
-				break // arbitrary cap; corpus buffers are tiny
+			return true
+		}
+		for _, op := range ops {
+			if op&1 == 0 {
+				if !read(uint(op/2)%64 + 1) {
+					return
+				}
+				continue
 			}
+			pos := r.BitsRead()
+			w, n := r.Peek()
+			wantN := min(64-uint(pos%8), uint(total-pos))
+			var wantW uint64
+			if wantN > 0 {
+				wantW = want(pos, wantN) << (64 - wantN)
+			}
+			if n != wantN || w != wantW {
+				t.Fatalf("Peek at %d of %d = %#x, %d; want %#x, %d", pos, total, w, n, wantW, wantN)
+			}
+			r.Consume(uint(op>>1) % (n + 1))
+		}
+		for read(width) {
 		}
 	})
 }

@@ -219,9 +219,10 @@ func readZeros(r *bitio.Reader, dst []int64, i int) int {
 }
 
 // Decode reads len(dst) values previously written by Encode with the same
-// method and ecbMax. Runs of zero symbols are consumed word-at-a-time via
-// bitio.ReadZeroRun; the bit consumption is identical to the
-// symbol-at-a-time reference decoder.
+// method and ecbMax. Tree3, and Tree5 at every ecbMax, decode from a
+// 64-bit window (window.go); the other coders consume runs of zero
+// symbols word-at-a-time via bitio.ReadZeroRun. The bit consumption is
+// identical to the symbol-at-a-time reference decoder.
 //
 //pastri:hotpath
 func Decode(r *bitio.Reader, dst []int64, ecbMax uint, m Method) error {
@@ -299,65 +300,11 @@ func Decode(r *bitio.Reader, dst []int64, ecbMax uint, m Method) error {
 		}
 	case Tree5:
 		if ecbMax <= 2 {
-			for i := 0; i < len(dst); {
-				if i = readZeros(r, dst, i); i == len(dst) {
-					break
-				}
-				if _, err := r.ReadBit(); err != nil { // the leading "1"
-					return err
-				}
-				b, err := r.ReadBit()
-				if err != nil {
-					return err
-				}
-				if b == 0 {
-					dst[i] = 1
-				} else {
-					dst[i] = -1
-				}
-				i++
-			}
-			return nil
+			return decodeTree5Narrow(r, dst)
 		}
 		return decodeTree3(r, dst, ecbMax)
 	default:
 		return fmt.Errorf("encoding: unknown method %v", m)
-	}
-	return nil
-}
-
-//pastri:hotpath
-func decodeTree3(r *bitio.Reader, dst []int64, ecbMax uint) error {
-	for i := 0; i < len(dst); {
-		if i = readZeros(r, dst, i); i == len(dst) {
-			break
-		}
-		if _, err := r.ReadBit(); err != nil { // the leading "1"
-			return err
-		}
-		b, err := r.ReadBit()
-		if err != nil {
-			return err
-		}
-		if b == 0 { // "10" + value
-			v, err := r.ReadSigned(ecbMax)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-			i++
-			continue
-		}
-		b, err = r.ReadBit()
-		if err != nil {
-			return err
-		}
-		if b == 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = -1
-		}
-		i++
 	}
 	return nil
 }

@@ -112,7 +112,7 @@ func TestStreamBlocksEmitError(t *testing.T) {
 		}
 		return nil
 	})
-	if err != wantErr { //lint:errcmp-ok sentinel identity is the contract under test
+	if err != wantErr {
 		t.Fatalf("got err %v, want %v", err, wantErr)
 	}
 	if calls != 3 {

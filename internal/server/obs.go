@@ -32,10 +32,14 @@ type samplerHandle struct {
 }
 
 // startSampler launches the history/SLO sampler at the given period.
-// Called once from New; the goroutine exits on stopSampler.
+// Called once from New; the goroutine exits on stopSampler. The ring
+// is seeded with a sample taken before the ticker starts, so a young
+// ring's windows are deltas from start-up and count every event served
+// before the first tick.
 func (s *Server) startSampler(interval time.Duration) {
 	s.sampler.stop = make(chan struct{})
 	s.sampler.done = make(chan struct{})
+	s.history.Add(s.captureSample(time.Now()))
 	go func() {
 		defer close(s.sampler.done)
 		tick := time.NewTicker(interval)

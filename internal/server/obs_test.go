@@ -259,3 +259,40 @@ func TestSamplerFeedsHistory(t *testing.T) {
 		t.Fatal("sampler kept running after stopSampler")
 	}
 }
+
+// TestSLOWindowsCountEventsBeforeFirstTick is the regression test for
+// the sampler dropping early events: requests served before the first
+// tick must land in the fast window, so on a young ring every
+// objective's fast_good equals its lifetime_good.
+func TestSLOWindowsCountEventsBeforeFirstTick(t *testing.T) {
+	cfg := testConfig(t, core.Defaults(4, 9, 1e-10), 2)
+	cfg.SLO.SampleIntervalMS = int(time.Hour / time.Millisecond) // no tick fires during the test
+	srv, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	upload(t, ts, "it", "s1", wireBody(2))
+	readBlock(t, ts, "it", "s1", 0)
+	readBlock(t, ts, "it", "s1", 1)
+
+	// What the first tick does, without waiting an interval for it.
+	srv.sampleTick(time.Now(), make(map[string]slo.State), make(map[string]uint64))
+	rep := srv.lastSLO.Load()
+	if rep == nil {
+		t.Fatal("sampleTick stored no SLO report")
+	}
+	seen := map[slo.Objective]float64{}
+	for _, st := range rep.Tenants["it"].Objectives {
+		if st.FastGood != st.LifetimeGood {
+			t.Errorf("%s: fast_good %v, lifetime_good %v", st.Objective, st.FastGood, st.LifetimeGood)
+		}
+		seen[st.Objective] = st.LifetimeGood
+	}
+	if seen[slo.UploadLatency] != 1 || seen[slo.ReadLatency] != 2 {
+		t.Fatalf("lifetime_good upload=%v read=%v, want 1 and 2", seen[slo.UploadLatency], seen[slo.ReadLatency])
+	}
+}

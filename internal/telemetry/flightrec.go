@@ -204,7 +204,7 @@ func (fr *FlightRecorder) observeCompress(c *Collector, rec TraceRecord, origina
 		BaselineStd:   baseline.stddev(),
 		BaselineN:     baseline.n,
 		Traces:        c.ring.snapshot(),
-		Original:      append([]float64(nil), original...), //lint:hotalloc2-ok anomaly path bounded by MaxArtifacts; the artifact must own a copy
+		Original:      append([]float64(nil), original...),      //lint:hotalloc2-ok anomaly path bounded by MaxArtifacts; the artifact must own a copy
 		Reconstructed: append([]float64(nil), reconstructed...), //lint:hotalloc2-ok anomaly path bounded by MaxArtifacts; the artifact must own a copy
 	})
 	fr.mu.Unlock()

@@ -113,11 +113,11 @@ func TestIncomingTraceparentPinsTraceAndForcesSampling(t *testing.T) {
 
 func TestTailRetentionRules(t *testing.T) {
 	cases := []struct {
-		name   string
-		cfg    Config
-		drive  func(tr *Tracer, sp *Span)
-		sleep  time.Duration
-		want   string // "" = dropped
+		name  string
+		cfg   Config
+		drive func(tr *Tracer, sp *Span)
+		sleep time.Duration
+		want  string // "" = dropped
 	}{
 		{"error", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.SetError(errors.New("boom")) }, 0, ReasonError},
 		{"latency", Config{SampleRate: 1, LatencyThreshold: time.Microsecond}, nil, time.Millisecond, ReasonLatency},
