@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"testing"
 
 	pastri "repro"
@@ -361,19 +360,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// benchCompressOptions builds the Options the compress kernel
-// benchmarks run under. Setting PASTRI_BENCH_STAGED (any non-empty
-// value) disables the fused single-pass path so the same benchmark
-// names can be measured on the staged reference pipeline — that is how
-// BENCH_PR9.json's baseline_staged section is produced (`make
-// bench-baseline`), which `make bench-gate` holds the fused "current"
-// section against with a minimum-speedup record check.
-func benchCompressOptions(numSB, sbSize int, eb float64) pastri.Options {
-	opts := pastri.NewOptions(numSB, sbSize, eb)
-	opts.DisableFused = os.Getenv("PASTRI_BENCH_STAGED") != ""
-	return opts
-}
-
 // BenchmarkCompressWorkers compares the serial path against
 // CompressWorkers at 2/4/8 workers on ERI-shaped blocks. Output bytes
 // are identical at every worker count (asserted once up front), so this
@@ -381,7 +367,7 @@ func benchCompressOptions(numSB, sbSize int, eb float64) pastri.Options {
 // cores; on a single-core machine the curve is flat.
 func BenchmarkCompressWorkers(b *testing.B) {
 	ds := getDataset(b, "alanine", 2)
-	opts := benchCompressOptions(ds.numSB, ds.sbSize, 1e-10)
+	opts := pastri.NewOptions(ds.numSB, ds.sbSize, 1e-10)
 	serial, err := pastri.CompressWorkers(ds.data, opts, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -419,7 +405,7 @@ func BenchmarkCompressWorkers(b *testing.B) {
 // optimisations (see BENCH_PR9.json for the tracked trajectory).
 func BenchmarkCompressWorkersFF(b *testing.B) {
 	ds := getDataset(b, "alanine", 3)
-	opts := benchCompressOptions(ds.numSB, ds.sbSize, 1e-10)
+	opts := pastri.NewOptions(ds.numSB, ds.sbSize, 1e-10)
 	serial, err := pastri.CompressWorkers(ds.data, opts, 1)
 	if err != nil {
 		b.Fatal(err)

@@ -69,7 +69,6 @@ func main() {
 		inPath     = flag.String("in", "", "input file")
 		outPath    = flag.String("out", "", "output file")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers (0 = all cores)")
-		staged     = flag.Bool("staged", false, "compress via the staged reference path instead of the fused one (A/B benchmarking; identical output)")
 		stats      = flag.Bool("stats", false, "print per-stage/per-encoding telemetry after the run")
 		statsJSON  = flag.String("statsjson", "", "write telemetry snapshot JSON to this path (\"-\" = stdout)")
 		trace      = flag.Bool("trace", false, "print the per-block trace ring after the run")
@@ -86,7 +85,7 @@ func main() {
 	o := cliOpts{
 		compress: *compress, decompress: *decompress, info: *info,
 		numSB: *numSB, sbSize: *sbSize, eb: *eb, metric: *metric,
-		inPath: *inPath, outPath: *outPath, workers: *workers, staged: *staged,
+		inPath: *inPath, outPath: *outPath, workers: *workers,
 		stats: *stats, statsJSON: *statsJSON, trace: *trace, pprofAddr: *pprofAddr,
 		metricsOut: *metricsOut, logMode: *logMode, logLevel: *logLevel,
 		audit: *audit, auditOrig: *auditOrig,
@@ -108,7 +107,6 @@ type cliOpts struct {
 	metric                     string
 	inPath, outPath            string
 	workers                    int
-	staged                     bool
 
 	stats       bool
 	statsJSON   string
@@ -249,7 +247,6 @@ func run(o cliOpts) error {
 		opts.Workers = o.workers
 		opts.Collector = col
 		opts.Logger = logger
-		opts.DisableFused = o.staged
 		var ok bool
 		if opts.Metric, ok = metricByName(o.metric); !ok {
 			return fmt.Errorf("unknown metric %q", o.metric)

@@ -163,10 +163,16 @@ func (c *Cache) GetOrFillTraced(k Key, sp *trace.Span, fill func(*trace.Span) ([
 	fl.data, fl.err = data, err
 	if err == nil {
 		c.fills.Add(1)
-		c.insert(k, data)
 	}
 	c.mu.Lock()
-	delete(c.flights, k)
+	// A flight InvalidateStream detached belongs to a deleted stream: it
+	// must not be cached, and k may already have a newer flight.
+	if c.flights[k] == fl {
+		delete(c.flights, k)
+		if err == nil {
+			c.insertLocked(k, data)
+		}
+	}
 	c.mu.Unlock()
 	close(fl.done)
 	return data, err
@@ -184,8 +190,9 @@ func (c *Cache) Get(k Key) ([]float64, bool) {
 	return e.data, true
 }
 
-// insert adds a filled block and evicts until caps hold.
-func (c *Cache) insert(k Key, data []float64) {
+// insertLocked adds a filled block and evicts until caps hold. The
+// caller holds c.mu.
+func (c *Cache) insertLocked(k Key, data []float64) {
 	size := blockBytes(data)
 	if c.capBytes <= 0 || size > c.capBytes {
 		return // caching disabled, or a single block larger than the cache
@@ -193,8 +200,6 @@ func (c *Cache) insert(k Key, data []float64) {
 	if tc, ok := c.tenantCaps[k.Tenant]; ok && tc > 0 && size > tc {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.entries[k]; ok {
 		return // raced with another insert of the same key
 	}
@@ -246,10 +251,19 @@ func (c *Cache) removeLocked(e *entry) {
 }
 
 // InvalidateStream drops every cached block of one stream (used on
-// delete so a re-uploaded id can never serve stale blocks).
+// delete so a re-uploaded id can never serve stale blocks). Fills of
+// the stream still running are detached: their result is not cached,
+// and later readers start a fresh fill instead of joining them. A read
+// that started before the invalidation may still return the old block.
+// It returns the number of cached blocks dropped.
 func (c *Cache) InvalidateStream(tenant, stream string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for k := range c.flights {
+		if k.Tenant == tenant && k.Stream == stream {
+			delete(c.flights, k)
+		}
+	}
 	n := 0
 	for el := c.lru.Back(); el != nil; {
 		prev := el.Prev()

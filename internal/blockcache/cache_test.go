@@ -3,6 +3,7 @@ package blockcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,6 +161,105 @@ func TestCacheInvalidateStream(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 4 || st.Bytes != 320 {
 		t.Fatalf("entries=%d bytes=%d after invalidate, want 4/320", st.Entries, st.Bytes)
+	}
+}
+
+// A fill still running when its stream is invalidated is detached: a
+// reader arriving after the invalidation starts its own fill instead of
+// joining the old one, and the old fill's result is never cached. The
+// old fill is held on a channel, so the interleaving is exact.
+func TestCacheInvalidateDetachesRunningFill(t *testing.T) {
+	c := New(1<<20, nil)
+	k := key("t", 0)
+	started, release := make(chan struct{}), make(chan struct{})
+	oldDone := make(chan error, 1)
+	go func() {
+		_, err := c.GetOrFill(k, func() ([]float64, error) {
+			close(started)
+			<-release
+			return []float64{1}, nil // the deleted stream's block
+		})
+		oldDone <- err
+	}()
+	<-started
+	c.InvalidateStream("t", "s")
+
+	type result struct {
+		data []float64
+		err  error
+	}
+	newDone := make(chan result, 1)
+	go func() {
+		data, err := c.GetOrFill(k, func() ([]float64, error) { return []float64{2}, nil })
+		newDone <- result{data, err}
+	}()
+	// Wait until the new reader has either joined a flight or started
+	// its own fill, then let the old fill finish.
+	for st := c.Stats(); st.Misses+st.DedupWaits < 2; st = c.Stats() {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-oldDone; err != nil {
+		t.Fatal(err)
+	}
+	got := <-newDone
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.data[0] != 2 {
+		t.Fatalf("reader after invalidation got %v, want the re-filled block [2]", got.data)
+	}
+	if data, ok := c.Get(k); !ok || data[0] != 2 {
+		t.Fatalf("cache holds %v (present %v), want the re-filled block [2]", data, ok)
+	}
+}
+
+// Readers hammer one stream while the test goroutine re-versions it and
+// invalidates it: once InvalidateStream has returned, a read serves the
+// new version, whether or not a fill of an older one was still running.
+func TestCacheInvalidateUnderConcurrentFills(t *testing.T) {
+	c := New(1<<20, nil)
+	var version atomic.Int64
+	fill := func() ([]float64, error) {
+		v := version.Load()
+		runtime.Gosched() // widen the window in which the fill can be detached
+		return []float64{float64(v)}, nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; ; b++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.GetOrFill(key("t", b%4), fill); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for v := int64(1); v <= 200; v++ {
+		version.Store(v)
+		c.InvalidateStream("t", "s")
+		for b := 0; b < 4; b++ {
+			data, err := c.GetOrFill(key("t", b), fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int64(data[0]); got < v {
+				t.Fatalf("version %d: block %d served version %d after invalidation", v, b, got)
+			}
+		}
 	}
 }
 

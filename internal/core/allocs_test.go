@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/encoding"
 	"repro/internal/pattern"
+	"repro/internal/telemetry"
 )
 
 // Allocation-regression tests for the block kernels. The per-block hot
@@ -32,26 +33,45 @@ func allocTestData(cfg Config, nblocks int) []float64 {
 }
 
 // TestEncodeBlockAllocs: a warm BlockEncoder must encode without any
-// heap allocation.
+// heap allocation — on the default path, with a live collector (the
+// per-block trace record pastrid pays on every upload), and with a
+// flight recorder attached, which makes the encoder rebuild each
+// block's reconstruction into its capture arena.
 func TestEncodeBlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	cfg := allocTestConfig()
-	block := allocTestData(cfg, 1)
-	enc, err := NewBlockEncoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bitio.NewWriter(cfg.BlockSize())
-	allocs := testing.AllocsPerRun(100, func() {
-		w.Reset()
-		if err := enc.EncodeBlock(w, block); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("EncodeBlock allocates %v times per block, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		col  func() *telemetry.Collector
+	}{
+		{"default", func() *telemetry.Collector { return nil }},
+		{"live collector", func() *telemetry.Collector { return telemetry.New(telemetry.DefaultTraceDepth) }},
+		{"collector + flight recorder", func() *telemetry.Collector {
+			col := telemetry.New(telemetry.DefaultTraceDepth)
+			col.AttachFlight(telemetry.NewFlightRecorder(telemetry.FlightConfig{}))
+			return col
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := allocTestConfig()
+			cfg.Collector = tc.col()
+			block := allocTestData(cfg, 1)
+			enc, err := NewBlockEncoder(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := bitio.NewWriter(cfg.BlockSize())
+			allocs := testing.AllocsPerRun(100, func() {
+				w.Reset()
+				if err := enc.EncodeBlock(w, block); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("EncodeBlock (%s) allocates %v times per block, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -48,13 +48,6 @@ type Config struct {
 	// DisableSparse forces the dense ECQ representation, for ablation of
 	// the sparse/dense adaptive choice.
 	DisableSparse bool
-	// DisableFused routes compression through the staged reference
-	// encoder (materialized ECQ scratch, per-code emission) instead of
-	// the fused single-pass path. The two produce byte-identical
-	// streams; the switch exists for A/B benchmarking and for the
-	// identity battery. Runtime-only — never serialized into streams,
-	// and irrelevant to decompression.
-	DisableFused bool
 	// Workers caps parallelism for stream compression; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int

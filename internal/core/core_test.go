@@ -320,8 +320,8 @@ func TestClassifyECbMax(t *testing.T) {
 
 func TestStatsMerge(t *testing.T) {
 	a, b := NewStats(), NewStats()
-	a.recordBlock([]int64{0, 1, -1}, 2, 10, 20, 30, 12, true)
-	b.recordBlock([]int64{0, 0, 0}, 1, 5, 5, 0, 12, false)
+	a.recordDense([]int64{0, 1, -1}, 2, 10, 20, 30, 12, true)
+	b.recordDense([]int64{0, 0, 0}, 1, 5, 5, 0, 12, false)
 	a.Merge(b)
 	if a.Blocks != 2 {
 		t.Fatalf("Blocks = %d", a.Blocks)

@@ -10,45 +10,38 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Fused single-pass compression path.
+// The block encoder: one fused pass from raw doubles to emitted bits.
 //
-// The staged encoder (block.go) quantizes every error-correction
-// residual into the dense ecq arena and then re-reads that arena twice:
-// once to count zero runs for the tree coders (or gather indices for
-// the sparse coder) and once more if stats or tracing want a scan. For
-// ERI data the overwhelming majority of quanta are zero, so almost all
-// of that traffic is spent storing and re-loading zeros.
+// The quantization pass never materializes a dense ECQ slice. For ERI
+// data the overwhelming majority of quanta are zero, so a dense slice
+// would spend almost all of its store and reload traffic on zeros.
+// Instead the pass appends only the surviving nonzero quanta to a
+// compact (index, value) list — the zero population is implicit in the
+// index gaps — and the emission stage streams straight from that list
+// into the bit writer:
 //
-// The fused path never materializes the dense slice. The quantization
-// pass appends only the surviving nonzero quanta to a compact
-// (index, value) list — the zero population is implicit in the index
-// gaps — and the emission stage streams straight from that list into
-// the bit writer:
-//
-//   - dense tree coders: each gap becomes one Zeros(run) call (pure
-//     zero bits, written in word-sized chunks) and each nonzero one
-//     Value call through the same per-value emitters Encode uses;
+//   - dense tree coders: EncodeList packs zero runs and codewords into a
+//     64-bit register for Tree 3/Tree 5 and streams the other methods
+//     through the per-value emitters, one Zeros(run) call per gap and
+//     one Value call per nonzero;
 //   - the sparse coder consumes the list as-is via EncodeSparseList;
 //   - PQ and SQ go out through the batched WriteSignedN kernel, which
 //     packs codewords into a local 64-bit register before spilling.
 //
-// Byte-identity with the staged path is structural, not coincidental:
-// the residual expression, zero fast path, per-value code tables and
-// cost algebra are shared code, zero-bit grouping is associative, and
-// the cost counts are commutative sums, so regrouping the zero
-// observations cannot change the method choice. The goldens and the
-// TestFusedMatchesStaged battery enforce it.
+// The observers read the same list: Stats counts the zero quanta as
+// blockSize − len(nzIdx), and recordTrace walks the list with a cursor
+// while it rebuilds the reconstruction.
 //
-// When stats, telemetry or debug logging are attached, the dense ecq
-// arena is reconstructed by scattering the list (scatterECQ) so those
-// consumers see exactly what the staged path would have handed them —
-// observability costs one extra O(blockSize) pass only when someone is
-// looking.
+// The staged encoder this pass replaced, which filled a dense ECQ arena
+// before emitting it, survives only as the test oracle (staged_test.go).
+// The goldens pin the stream format; TestFusedMatchesStaged and
+// FuzzFusedCompress hold this encoder to the oracle byte for byte.
 
 // analyzeFused runs pattern fit, P/S quantization and the
-// error-correction pass like analyze, but gathers nonzero quanta into
-// the nzIdx/nzQ arenas instead of filling the dense ecq arena. Stage
-// timings, spans and error returns mirror analyze exactly.
+// error-correction pass (Sec. IV-A/IV-B), gathering the nonzero quanta
+// into the nzIdx/nzQ arenas and accumulating the cost counts for every
+// encoding method (consumed by EncodeBlock) in the same scan. It returns
+// the pattern/scale bit width P_b and the widest ECQ bin.
 //
 //pastri:hotpath
 func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error) {
@@ -56,7 +49,7 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	if len(block) != cfg.BlockSize() {
 		return 0, 0, fmt.Errorf("core: block has %d points, config wants %d", len(block), cfg.BlockSize())
 	}
-	// 1. Pattern analysis (Sec. IV-A), shared with the staged path.
+	// 1. Pattern analysis (Sec. IV-A), writing into encoder-owned scratch.
 	tFit := e.col.StageStart()
 	spFit := e.sp.StartChild("pattern_fit")
 	res, err := e.pat.Analyze(block, cfg.NumSB, cfg.SBSize, cfg.Metric)
@@ -69,8 +62,8 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	spQuant := e.sp.StartChild("quantize")
 	pat := block[res.PatternIndex*cfg.SBSize : (res.PatternIndex+1)*cfg.SBSize]
 
-	// 2. Quantize pattern and scales through the four-lane kernel
-	// (elementwise identical to the staged scalar loop).
+	// 2. Quantize the pattern with Pbinsize = 2·EB (Sec. IV-B practical
+	// method) and the scales with S_b = P_b, through the four-lane kernel.
 	eb := cfg.ErrorBound
 	pBin := 2 * eb
 	pExt, _ := quant.MaxAbs(pat)
@@ -84,16 +77,23 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	quant.QuantizeClampN(e.pq, pat, pBin, pb)
 	quant.QuantizeClampN(e.sq, res.Scales, sBin, sb)
 
-	// 3. Error correction, gathering nonzeros only. Residual expression,
-	// zero fast path and quantizer are the staged loop's verbatim; the
-	// post-divide q == 0 test replaces the staged store-of-zero, and the
-	// skipped zero population is folded into the cost counts wholesale at
-	// the end (AddZeros — commutative, so the CostSet cannot differ).
+	// 3. Error correction against the *reconstructed* scaled pattern, so
+	// the EC term absorbs the quantization error of P and S (eq. (11)),
+	// gathering nonzeros only. The skipped zero population is folded into
+	// the cost counts wholesale at the end (AddZeros — commutative, so the
+	// CostSet cannot differ from observing every zero).
 	pHat := e.pHat[:cfg.SBSize]
 	for i := range pHat {
 		pHat[i] = quant.Dequantize(e.pq[i], pBin)
 	}
 	ecBin := 2 * eb
+	// Most residuals quantize to zero (that is what makes ECQ compress),
+	// and the divide in Quantize dominates this loop. A residual d with
+	// |d| < 0.499·ecBin provably rounds to quantum 0: even after the two
+	// roundings (the threshold multiply and Quantize's divide) the
+	// quotient magnitude stays below 0.499·(1+2⁻⁵³)² < 0.5, so
+	// math.Round yields ±0 and int64(±0) is 0. Residuals in
+	// [0.499, 0.5)·ecBin just take the divide and still produce 0.
 	zeroCut := 0.499 * ecBin
 	// ±1 fast path bounds: residuals with d/ecBin certainly in (1/2, 3/2)
 	// quantize to exactly 1 (symmetrically -1) without the divide. The
@@ -101,12 +101,13 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	// Quantize's divide): d > fl(0.501·ecBin) forces the computed
 	// quotient above 0.501·(1−2⁻⁵³)² > 1/2, and d < fl(1.499·ecBin)
 	// keeps it below 1.499·(1+2⁻⁵³)² < 3/2, so round() lands on 1 on
-	// both routes — byte-identical to the staged path's Quantize call.
+	// both routes — byte-identical to calling Quantize.
 	// ECQ residuals are overwhelmingly ±1 quanta, which is what makes
 	// the shortcut pay; boundary values fall back to the divide. The
-	// margin argument needs a normal-range ecBin whose 1.499 multiple
-	// cannot overflow, so tiny and huge bins disable the path
-	// (oneLo = +Inf fails every test below).
+	// margin arguments need a normal-range ecBin whose 1.499 multiple
+	// cannot overflow, so tiny bins disable both shortcuts (zeroCut = 0
+	// always divides) and huge bins the ±1 path (oneLo = +Inf fails
+	// every test below).
 	oneLo, oneHi := 0.501*ecBin, 1.499*ecBin
 	if ecBin < 1e-300 {
 		zeroCut = 0
@@ -168,11 +169,11 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	return pb, ecbMax, nil
 }
 
-// encodeBlockFused is EncodeBlock's fused implementation: one traversal
-// from raw doubles to emitted bits, with no dense ECQ round-trip.
+// EncodeBlock appends the compressed representation of block to w.
+// len(block) must equal cfg.BlockSize().
 //
 //pastri:hotpath
-func (e *BlockEncoder) encodeBlockFused(w *bitio.Writer, block []float64) error {
+func (e *BlockEncoder) EncodeBlock(w *bitio.Writer, block []float64) error {
 	cfg := e.cfg
 	startBits := w.BitLen()
 	pb, ecbMax, err := e.analyzeFused(block)
@@ -193,9 +194,9 @@ func (e *BlockEncoder) encodeBlockFused(w *bitio.Writer, block []float64) error 
 	ecqStart := w.BitLen()
 
 	// 6. ECQ straight from the nonzero list. Type-0 blocks (empty list,
-	// ECbMax == 1) spend no bits; otherwise the same exact-cost
-	// sparse/dense decision as the staged path, priced from the counts
-	// the quantize pass accumulated.
+	// ECbMax == 1) spend no bits; otherwise pick the sparse or dense
+	// representation by exact cost, priced from the counts the quantize
+	// pass accumulated.
 	usedSparse := false
 	if ecbMax > 1 {
 		idxBits := encoding.IndexBits(cfg.BlockSize())
@@ -214,40 +215,23 @@ func (e *BlockEncoder) encodeBlockFused(w *bitio.Writer, block []float64) error 
 	spEnc.End()
 	e.col.StageEnd(telemetry.StageEncode, tEnc)
 
-	// Observability consumers read dense ECQ; rebuild it from the list
-	// only when one is attached so the hot path stays scatter-free.
-	if e.stats != nil || e.col.Enabled() || e.debugLog {
-		e.scatterECQ()
-		if e.stats != nil {
-			e.stats.recordBlock(e.ecq, ecbMax,
-				sqStart-startBits-uint64(pbFieldBits+ecbMaxFieldBits), // PQ bits
-				ecqStart-sqStart,    // SQ bits
-				w.BitLen()-ecqStart, // ECQ bits
-				uint64(pbFieldBits+ecbMaxFieldBits), usedSparse)
-		}
-		if e.col.Enabled() || e.debugLog {
-			kind := telemetry.EncType0
-			if ecbMax > 1 {
-				if usedSparse {
-					kind = telemetry.EncSparse
-				} else {
-					kind = telemetry.EncDense
-				}
+	if e.stats != nil {
+		e.stats.recordBlock(e.nzQ, cfg.BlockSize(), ecbMax,
+			sqStart-startBits-uint64(pbFieldBits+ecbMaxFieldBits), // PQ bits
+			ecqStart-sqStart,    // SQ bits
+			w.BitLen()-ecqStart, // ECQ bits
+			uint64(pbFieldBits+ecbMaxFieldBits), usedSparse)
+	}
+	if e.col.Enabled() || e.debugLog {
+		kind := telemetry.EncType0
+		if ecbMax > 1 {
+			if usedSparse {
+				kind = telemetry.EncSparse
+			} else {
+				kind = telemetry.EncDense
 			}
-			e.recordTrace(block, pb, ecbMax, w.BitLen()-startBits, kind)
 		}
+		e.recordTrace(block, pb, ecbMax, w.BitLen()-startBits, kind)
 	}
 	return nil
-}
-
-// scatterECQ reconstructs the dense ecq arena from the nonzero list, so
-// stats and trace consumers see the same slice the staged path fills.
-func (e *BlockEncoder) scatterECQ() {
-	ecq := e.ecq[:e.cfg.BlockSize()]
-	for i := range ecq {
-		ecq[i] = 0
-	}
-	for k, idx := range e.nzIdx {
-		ecq[idx] = e.nzQ[k]
-	}
 }

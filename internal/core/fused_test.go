@@ -3,31 +3,51 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitio"
 	"repro/internal/encoding"
 	"repro/internal/pattern"
+	"repro/internal/quant"
+	"repro/internal/telemetry"
 )
 
 // Byte-identity battery for the fused single-pass encoder: over
-// randomized configurations and data, the fused path must produce
-// exactly the stream the staged reference path produces — same bytes,
+// randomized configurations and data, EncodeBlock must produce exactly
+// the stream the staged oracle (staged_test.go) produces — same bytes,
 // same stats, same errors. The committed goldens already pin the fused
-// path to the frozen format; these tests additionally sweep corners no
-// golden covers.
+// encoder to the frozen format; these tests additionally sweep corners
+// no golden covers.
 
-// compressBoth runs the same data through the fused and staged paths
-// and returns both streams (and errors).
-func compressBoth(data []float64, cfg Config, workers int) (fused, staged []byte, errF, errS error) {
-	fCfg, sCfg := cfg, cfg
-	fCfg.DisableFused = false
-	sCfg.DisableFused = true
-	fused, errF = CompressWorkers(data, fCfg, workers, nil)
-	staged, errS = CompressWorkers(data, sCfg, workers, nil)
-	return
+// compareStaged compresses data with the fused encoder at the given
+// worker count and with the staged oracle. It returns the fused stream
+// (nil when both sides failed alike) and an error describing any
+// divergence: different bytes, one side failing alone, or error text
+// that differs from a serial fused run's. The oracle is serial, and at
+// workers > 1 which failing block reports first depends on scheduling.
+func compareStaged(data []float64, cfg Config, workers int) ([]byte, error) {
+	fused, errF := CompressWorkers(data, cfg, workers, nil)
+	staged, errS := compressStaged(data, cfg, nil)
+	if (errF == nil) != (errS == nil) {
+		return nil, fmt.Errorf("error parity broken: fused=%v staged=%v", errF, errS)
+	}
+	if errS != nil {
+		if workers != 1 {
+			_, errF = CompressWorkers(data, cfg, 1, nil)
+		}
+		if errF == nil || errF.Error() != errS.Error() {
+			return nil, fmt.Errorf("errors differ:\n  fused:  %v\n  staged: %v", errF, errS)
+		}
+		return nil, nil
+	}
+	if !bytes.Equal(fused, staged) {
+		return nil, fmt.Errorf("fused stream differs from staged (%d vs %d bytes)", len(fused), len(staged))
+	}
+	return fused, nil
 }
 
 func TestFusedMatchesStaged(t *testing.T) {
@@ -59,19 +79,12 @@ func TestFusedMatchesStaged(t *testing.T) {
 		}
 		workers := workerSet[rng.Intn(len(workerSet))]
 
-		fused, staged, errF, errS := compressBoth(data, cfg, workers)
-		if (errF == nil) != (errS == nil) {
-			t.Fatalf("trial %d (%+v): error parity broken: fused=%v staged=%v", trial, cfg, errF, errS)
+		fused, err := compareStaged(data, cfg, workers)
+		if err != nil {
+			t.Fatalf("trial %d (%+v, workers=%d): %v", trial, cfg, workers, err)
 		}
-		if errF != nil {
-			if errF.Error() != errS.Error() {
-				t.Fatalf("trial %d (%+v): errors differ: fused=%v staged=%v", trial, cfg, errF, errS)
-			}
+		if fused == nil {
 			continue
-		}
-		if !bytes.Equal(fused, staged) {
-			t.Fatalf("trial %d (%+v, workers=%d): fused stream differs from staged (%d vs %d bytes)",
-				trial, cfg, workers, len(fused), len(staged))
 		}
 		dec, err := Decompress(fused, 1)
 		if err != nil {
@@ -138,23 +151,15 @@ func TestFusedMatchesStagedSpecials(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		data := tc.data(tc.cfg)
-		fused, staged, errF, errS := compressBoth(data, tc.cfg, 1)
-		if (errF == nil) != (errS == nil) {
-			t.Fatalf("%s: error parity broken: fused=%v staged=%v", tc.name, errF, errS)
-		}
-		if errF != nil {
-			continue
-		}
-		if !bytes.Equal(fused, staged) {
-			t.Fatalf("%s: fused stream differs from staged", tc.name)
+		if _, err := compareStaged(tc.data(tc.cfg), tc.cfg, 1); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
 }
 
 // TestFusedErrorParity: inputs that make compression fail must fail
-// identically on both paths (same error text), since callers and tests
-// match on these messages.
+// identically in the fused encoder and the staged oracle (same error
+// text), since callers and tests match on these messages.
 func TestFusedErrorParity(t *testing.T) {
 	cfg := Defaults(2, 4, 1e-10)
 	for _, tc := range []struct {
@@ -165,78 +170,172 @@ func TestFusedErrorParity(t *testing.T) {
 		{"inf", []float64{1, 2, math.Inf(1), 4, 5, 6, 7, 8}},
 		{"huge-range", []float64{1e300, 1, 1, 1, 1, 1, 1, 1}},
 	} {
-		_, _, errF, errS := compressBoth(tc.data, cfg, 1)
-		if errF == nil || errS == nil {
-			if (errF == nil) != (errS == nil) {
-				t.Fatalf("%s: error parity broken: fused=%v staged=%v", tc.name, errF, errS)
-			}
-			continue
-		}
-		if errF.Error() != errS.Error() {
-			t.Fatalf("%s: errors differ:\n  fused:  %v\n  staged: %v", tc.name, errF, errS)
+		if _, err := compareStaged(tc.data, cfg, 1); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
 }
 
-// TestFusedStatsParity: the scatter-reconstructed ECQ the fused path
-// hands to the stats sink must yield exactly the staged path's stats.
+// allTypesData returns blocks that together produce all four block
+// types and both ECQ representations, dense and sparse: an all-zero
+// block, pure patterns with residual noise from 0 to 50 bins, pure
+// patterns with a few wide outliers, and ERI-like blocks.
+func allTypesData(cfg Config) []float64 {
+	rng := rand.New(rand.NewSource(33))
+	data := make([]float64, cfg.BlockSize()) // Type 0
+	for _, bins := range []float64{0, 0.5, 2, 50} {
+		data = append(data, patternedBlock(rng, cfg.NumSB, cfg.SBSize, 1e-3, bins*cfg.ErrorBound, 0)...)
+	}
+	for i := 0; i < 3; i++ {
+		data = append(data, patternedBlock(rng, cfg.NumSB, cfg.SBSize, 1e-3, 0, 0.02)...)
+	}
+	return append(data, eriLikeBlocks(cfg, 12, 7)...)
+}
+
+// TestFusedStatsParity: Stats fed from the fused encoder's nonzero list
+// must equal the staged oracle's dense-fed Stats in every field, the
+// Fig. 6 bin histograms and the ECb_max distribution included, serially
+// and when merged across workers.
 func TestFusedStatsParity(t *testing.T) {
 	cfg := Defaults(6, 10, 1e-10)
-	data := eriLikeBlocks(cfg, 31, 7)
-	fCfg, sCfg := cfg, cfg
-	sCfg.DisableFused = true
-	fStats, sStats := NewStats(), NewStats()
-	if _, err := CompressWorkers(data, fCfg, 1, fStats); err != nil {
+	data := allTypesData(cfg)
+	want := NewStats()
+	if _, err := compressStaged(data, cfg, want); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompressWorkers(data, sCfg, 1, sStats); err != nil {
-		t.Fatal(err)
+	for typ, n := range want.TypeCount {
+		if n == 0 {
+			t.Fatalf("inputs produce no %v block: %v", BlockType(typ), want.TypeCount)
+		}
 	}
-	if fStats.Blocks != sStats.Blocks || fStats.TypeCount != sStats.TypeCount ||
-		fStats.SparseBlocks != sStats.SparseBlocks ||
-		fStats.PayloadBits() != sStats.PayloadBits() {
-		t.Fatalf("stats diverge:\n  fused:  %+v\n  staged: %+v", fStats, sStats)
+	if want.SparseBlocks == 0 || want.SparseBlocks == want.Blocks {
+		t.Fatalf("inputs need dense and sparse blocks: %d of %d sparse", want.SparseBlocks, want.Blocks)
+	}
+	for _, workers := range []int{1, 3} {
+		got := NewStats()
+		if _, err := CompressWorkers(data, cfg, workers, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: stats diverge:\n  fused:  %+v\n  staged: %+v", workers, got, want)
+		}
 	}
 }
 
-// TestFusedEncodeBlockAllocs: the fused hot path must stay
-// allocation-free once the arenas are warm, exactly like the staged one
-// (TestEncodeBlockAllocs covers the dispatch default).
-func TestFusedEncodeBlockAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates")
+// TestFusedTraceParity: under a live collector and a flight recorder
+// whose slack floor turns every block into an artifact, each trace
+// record's ECQ summary, slack and payload size must equal the values
+// recomputed from the staged oracle's dense ECQ and payload, and each
+// artifact must carry the block and, bit for bit, DecodeBlock's
+// reconstruction of it. ECQCodes, which scatters the fused list, must
+// return the oracle's dense ECQ.
+func TestFusedTraceParity(t *testing.T) {
+	cfg := Defaults(6, 10, 1e-10)
+	data := allTypesData(cfg)
+	bs := cfg.BlockSize()
+	nblocks := len(data) / bs
+	col := telemetry.New(nblocks)
+	fr := telemetry.NewFlightRecorder(telemetry.FlightConfig{
+		Dir: t.TempDir(), ErrorBound: cfg.ErrorBound,
+		SlackFloor: 2 * cfg.ErrorBound, MaxArtifacts: nblocks,
+	})
+	col.AttachFlight(fr)
+	fCfg := cfg
+	fCfg.Collector = col
+	comp, err := CompressWorkers(data, fCfg, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name         string
-		disableFused bool
-	}{
-		{"fused", false},
-		{"staged", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := allocTestConfig()
-			cfg.DisableFused = tc.disableFused
-			block := allocTestData(cfg, 1)
-			enc, err := NewBlockEncoder(cfg)
-			if err != nil {
-				t.Fatal(err)
+	traces := make(map[uint64]telemetry.TraceRecord)
+	for _, tr := range col.Snapshot().Traces {
+		traces[tr.Block] = tr
+	}
+	paths := fr.ArtifactPaths()
+	if err := fr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != nblocks || len(paths) != nblocks {
+		t.Fatalf("%d trace records and %d artifacts for %d blocks", len(traces), len(paths), nblocks)
+	}
+	br, err := NewBlockReader(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := newStagedEncoder(cfg, nil)
+	enc, err := NewBlockEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bitio.NewWriter(bs)
+	decoded := make([]float64, bs)
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
 			}
-			w := bitio.NewWriter(cfg.BlockSize())
-			allocs := testing.AllocsPerRun(100, func() {
-				w.Reset()
-				if err := enc.EncodeBlock(w, block); err != nil {
-					t.Fatal(err)
+		}
+		return true
+	}
+	for b := 0; b < nblocks; b++ {
+		block := data[b*bs : (b+1)*bs]
+		w.Reset()
+		if err := oracle.encodeBlockStaged(w, block); err != nil {
+			t.Fatal(err)
+		}
+		bytesOut := len(w.Bytes())
+		pb, ecbMax, err := oracle.analyze(block) // refill the arenas for the recomputation
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonZero := 0
+		maxRes := 0.0
+		sBin, ecBin := quant.ScaleBinSize(pb), 2*cfg.ErrorBound
+		for s := 0; s < cfg.NumSB; s++ {
+			sHat := quant.Dequantize(oracle.sq[s], sBin)
+			base := s * cfg.SBSize
+			for i := 0; i < cfg.SBSize; i++ {
+				if oracle.ecq[base+i] != 0 {
+					nonZero++
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s EncodeBlock allocates %v times per block, want 0", tc.name, allocs)
+				rec := sHat*oracle.pHat[i] + quant.Dequantize(oracle.ecq[base+i], ecBin)
+				if r := math.Abs(block[base+i] - rec); r > maxRes {
+					maxRes = r
+				}
 			}
-		})
+		}
+
+		codes, codesECB, err := enc.ECQCodes(block)
+		if err != nil || codesECB != ecbMax || !reflect.DeepEqual(codes, oracle.ecq) {
+			t.Fatalf("block %d: ECQCodes = %v, %d, %v; oracle ECb_max %d", b, codes, codesECB, err, ecbMax)
+		}
+
+		rec, ok := traces[uint64(b)]
+		if !ok || rec.ECQNonZero != nonZero || rec.ECbMax != int(ecbMax) ||
+			rec.BytesOut != bytesOut ||
+			math.Float64bits(rec.EBSlack) != math.Float64bits(cfg.ErrorBound-maxRes) {
+			t.Fatalf("block %d: trace %+v, oracle: ecq_nonzero %d ecb_max %d bytes_out %d eb_slack %g",
+				b, rec, nonZero, ecbMax, bytesOut, cfg.ErrorBound-maxRes)
+		}
+
+		art, err := telemetry.ReadFlightArtifact(paths[b])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := br.ReadBlock(b, decoded); err != nil {
+			t.Fatal(err)
+		}
+		if art.Record != rec || !same(art.Original, block) || !same(art.Reconstructed, decoded) {
+			t.Fatalf("block %d: artifact %s does not carry the block, its record and its decoded reconstruction", b, paths[b])
+		}
 	}
 }
 
 // FuzzFusedCompress feeds arbitrary geometry, error bound and raw bytes
-// through both paths, requiring error parity and byte-identical streams.
+// through the fused encoder and the staged oracle, requiring error
+// parity and byte-identical streams.
 func FuzzFusedCompress(f *testing.F) {
 	seed := func(cfg Config, data []float64) {
 		raw := make([]byte, len(data)*8)
@@ -263,18 +362,8 @@ func FuzzFusedCompress(f *testing.F) {
 		for i := range data {
 			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
-		fused, staged, errF, errS := compressBoth(data, cfg, 1+int(nsb%4))
-		if (errF == nil) != (errS == nil) {
-			t.Fatalf("error parity broken: fused=%v staged=%v", errF, errS)
-		}
-		if errF != nil {
-			if errF.Error() != errS.Error() {
-				t.Fatalf("errors differ: fused=%v staged=%v", errF, errS)
-			}
-			return
-		}
-		if !bytes.Equal(fused, staged) {
-			t.Fatalf("fused stream differs from staged (%d vs %d bytes)", len(fused), len(staged))
+		if _, err := compareStaged(data, cfg, 1+int(nsb%4)); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -5,8 +5,8 @@ import (
 )
 
 // Pools recycling per-worker kernel state across blocks and calls.
-// A BlockEncoder/BlockDecoder owns sizable scratch arenas (pq, sq, ecq,
-// pHat, pattern scratch), and every compressed block needs a payload
+// A BlockEncoder/BlockDecoder owns sizable scratch arenas (pq, sq, the
+// ECQ list or arena, pHat, pattern scratch), and every compressed block needs a payload
 // buffer; recycling all three means steady-state compression performs
 // zero per-block heap allocation (enforced by TestCompressWorkersAllocs
 // and TestDecodeBlockAllocs). The arenas adapt to the largest geometry

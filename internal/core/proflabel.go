@@ -6,8 +6,7 @@ import (
 )
 
 // pprof "stage" label values for the pipeline's goroutine roles. The
-// encode workers cover both the fused and the staged encoder — the
-// whole per-block compression runs inside them.
+// whole per-block compression runs inside the encode workers.
 const (
 	profStageEncode    = "encode"
 	profStageSequencer = "sequencer"

@@ -73,14 +73,20 @@ func NewStats() *Stats {
 	return &Stats{ECbMaxHist: make(map[uint]uint64)} //lint:hotalloc2-ok one histogram map per stream accumulator
 }
 
-func (s *Stats) recordBlock(ecq []int64, ecbMax uint, pqBits, sqBits, ecqBits, headerBits uint64, sparse bool) {
+// recordBlock folds one block into the accumulator. nzQ holds the
+// block's nonzero quanta and n its size, so the n − len(nzQ) zero
+// quanta are counted in bin 1 (quant.BitsForValue(0)) at once.
+func (s *Stats) recordBlock(nzQ []int64, n int, ecbMax uint, pqBits, sqBits, ecqBits, headerBits uint64, sparse bool) {
 	if sparse {
 		s.SparseBlocks++
 	}
 	s.Blocks++
 	t := ClassifyECbMax(ecbMax)
 	s.TypeCount[t]++
-	for _, v := range ecq {
+	zeros := uint64(n - len(nzQ))
+	s.BinHist[t][1] += zeros
+	s.TotalHist[1] += zeros
+	for _, v := range nzQ {
 		b := quant.BitsForValue(v)
 		s.BinHist[t][b]++
 		s.TotalHist[b]++

@@ -12,6 +12,13 @@ import (
 // degenerate shapes (empty ECQ slice, all-zero blocks, single
 // sub-block configs) or Merge's nil-map path in isolation.
 
+// recordDense feeds recordBlock a block described by its dense ECQ
+// slice, the shape the tests below are written in.
+func (s *Stats) recordDense(ecq []int64, ecbMax uint, pqBits, sqBits, ecqBits, headerBits uint64, sparse bool) {
+	_, nz := gatherNonZero(ecq)
+	s.recordBlock(nz, len(ecq), ecbMax, pqBits, sqBits, ecqBits, headerBits, sparse)
+}
+
 func TestClassifyECbMaxEdges(t *testing.T) {
 	// core_test.go covers the interior cut points; this pins the ends.
 	if got := ClassifyECbMax(0); got != Type0 {
@@ -29,7 +36,7 @@ func TestRecordBlockEmptyECQ(t *testing.T) {
 	// An empty ECQ slice (e.g. a fully pattern-explained block in a
 	// degenerate config) must still count the block and its bits.
 	s := NewStats()
-	s.recordBlock(nil, 0, 10, 20, 0, 5, false)
+	s.recordDense(nil, 0, 10, 20, 0, 5, false)
 	if s.Blocks != 1 || s.TypeCount[Type0] != 1 {
 		t.Fatalf("blocks/type = %d/%v", s.Blocks, s.TypeCount)
 	}
@@ -48,7 +55,7 @@ func TestRecordBlockAllZero(t *testing.T) {
 	// holds {0} in the paper's Fig. 6 numbering.
 	s := NewStats()
 	ecq := make([]int64, 36)
-	s.recordBlock(ecq, 1, 4, 8, 0, 2, false)
+	s.recordDense(ecq, 1, 4, 8, 0, 2, false)
 	if got := ClassifyECbMax(1); got != Type0 {
 		t.Fatalf("ecbMax 1 classified %v", got)
 	}
@@ -68,7 +75,7 @@ func TestRecordBlockSingleSubBlock(t *testing.T) {
 	// pattern, ECQ carries one entry per point.
 	s := NewStats()
 	ecq := []int64{0, -1, 1, 3, -4}
-	s.recordBlock(ecq, 3, 64, 11, 15, 2, true)
+	s.recordDense(ecq, 3, 64, 11, 15, 2, true)
 	if s.TypeCount[Type2] != 1 {
 		t.Fatalf("TypeCount = %v, want one Type2", s.TypeCount)
 	}
@@ -90,7 +97,7 @@ func TestRecordBlockSingleSubBlock(t *testing.T) {
 
 func TestStatsMergeNilAndEmptyMap(t *testing.T) {
 	s := NewStats()
-	s.recordBlock([]int64{1}, 2, 1, 2, 3, 4, false)
+	s.recordDense([]int64{1}, 2, 1, 2, 3, 4, false)
 	before := *s
 	s.Merge(nil) // no-op
 	if s.Blocks != before.Blocks || s.PayloadBits() != before.PayloadBits() {
@@ -101,7 +108,7 @@ func TestStatsMergeNilAndEmptyMap(t *testing.T) {
 	// the map rather than panic.
 	var dst Stats
 	other := NewStats()
-	other.recordBlock([]int64{0, 7}, 4, 5, 6, 7, 8, true)
+	other.recordDense([]int64{0, 7}, 4, 5, 6, 7, 8, true)
 	dst.Merge(other)
 	if dst.Blocks != 1 || dst.ECbMaxHist[4] != 1 || dst.SparseBlocks != 1 {
 		t.Fatalf("zero-value Merge: %+v", dst)

@@ -25,6 +25,7 @@ func benchECQ() []int64 {
 
 func BenchmarkEncodeTrees(b *testing.B) {
 	vals := benchECQ()
+	idxs, nz := gather(vals)
 	ecb := uint(17)
 	for _, m := range Methods {
 		b.Run(m.String(), func(b *testing.B) {
@@ -32,7 +33,7 @@ func BenchmarkEncodeTrees(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
 				w.Reset()
-				Encode(w, vals, ecb, m)
+				EncodeList(w, idxs, nz, len(vals), ecb, m)
 			}
 		})
 	}
@@ -42,7 +43,7 @@ func BenchmarkDecodeTree5(b *testing.B) {
 	vals := benchECQ()
 	ecb := uint(17)
 	w := bitio.NewWriter(1 << 14)
-	Encode(w, vals, ecb, Tree5)
+	encodeDense(w, vals, ecb, Tree5)
 	buf := w.Bytes()
 	dst := make([]int64, len(vals))
 	b.SetBytes(int64(len(vals) * 8))

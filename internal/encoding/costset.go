@@ -7,8 +7,9 @@ import (
 // CostCounts accumulates, in a single pass over the ECQ codes, every
 // statistic needed to price all candidate encoding methods and the
 // sparse representation: the zero/±1 populations and the running Tree 4
-// bit total. BlockEncoder folds Observe into its quantization loop, so
-// method selection costs no extra scan at all.
+// bit total. BlockEncoder folds ObserveNonZero into its quantization
+// loop and the zeros in with AddZeros, so method selection costs no
+// extra scan at all.
 type CostCounts struct {
 	N      uint64 // values observed
 	Zero   uint64 // values == 0

@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -77,8 +76,8 @@ func TestObserveReturnsBin(t *testing.T) {
 	}
 }
 
-// referenceEncode is the symbol-at-a-time coder the batched Encode must
-// reproduce bit for bit.
+// referenceEncode is the symbol-at-a-time coder that the batched
+// emitters (ValueEmitter, EncodeList) must reproduce bit for bit.
 func referenceEncode(w *bitio.Writer, vals []int64, ecbMax uint, m Method) {
 	for _, v := range vals {
 		switch m {
@@ -146,51 +145,6 @@ func referenceEncode(w *bitio.Writer, vals []int64, ecbMax uint, m Method) {
 				}
 			} else {
 				referenceEncode(w, []int64{v}, ecbMax, Tree3)
-			}
-		}
-	}
-}
-
-// TestBatchedEncodeByteIdentical proves the run-batched, fused-write
-// coders emit exactly the reference bitstream, and that the zero-run
-// decoder consumes it back.
-func TestBatchedEncodeByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	inputs := [][]int64{
-		{},
-		{0, 0, 0},
-		{5},
-		append(append(make([]int64, 130), 7, -9, 1, -1), make([]int64, 70)...),
-	}
-	for i := 0; i < 40; i++ {
-		inputs = append(inputs, ecqShaped(rng, rng.Intn(600)+1))
-	}
-	for _, vals := range inputs {
-		for _, m := range Methods {
-			ecbs := []uint{maxBin(vals), 33, 64}
-			if m == Tree5 && maxBin(vals) <= 2 {
-				ecbs = append(ecbs, 2)
-			}
-			for _, ecb := range ecbs {
-				if ecb < maxBin(vals) {
-					continue
-				}
-				want := bitio.NewWriter(64)
-				referenceEncode(want, vals, ecb, m)
-				got := bitio.NewWriter(64)
-				Encode(got, vals, ecb, m)
-				if !bytes.Equal(got.Bytes(), want.Bytes()) || got.BitLen() != want.BitLen() {
-					t.Fatalf("%v ecb=%d n=%d: batched encode differs from reference", m, ecb, len(vals))
-				}
-				dst := make([]int64, len(vals))
-				if err := Decode(bitio.NewReader(got.Bytes()), dst, ecb, m); err != nil {
-					t.Fatalf("%v ecb=%d: decode: %v", m, ecb, err)
-				}
-				for j := range vals {
-					if dst[j] != vals[j] {
-						t.Fatalf("%v ecb=%d: dst[%d] = %d, want %d", m, ecb, j, dst[j], vals[j])
-					}
-				}
 			}
 		}
 	}

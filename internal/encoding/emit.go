@@ -6,15 +6,14 @@ import (
 	"repro/internal/bitio"
 )
 
-// Streaming emission API. Encode and EncodeSparse walk a dense
-// materialized ECQ slice; the fused compression path never builds one —
-// it carries the block's nonzero quanta as a compact (index, value)
-// list and knows every zero run from the index gaps. The emitters here
-// accept exactly that shape and write the same bitstream: zero runs
-// are announced by length and nonzero symbols one at a time, each
-// through the same per-value helpers the dense coders use, so the two
-// entry points cannot drift apart. See TestValueEmitterMatchesEncode
-// and TestEncodeSparseListMatchesEncodeSparse.
+// Emission API. The block encoder never materializes a dense ECQ
+// slice: it carries the block's nonzero quanta as a compact (index,
+// value) list and knows every zero run from the index gaps. The
+// emitters here accept exactly that shape. The per-value helpers below
+// hold each method's code table once; ValueEmitter streams a block
+// through them, and EncodeList and EncodeSparseList pack whole lists.
+// The tests hold all three to symbol-at-a-time reference coders over
+// the equivalent dense slice.
 
 // emitTree1Value writes one nonzero value's Tree 1 code.
 //
@@ -85,9 +84,7 @@ func emitTree5NarrowValue(w *bitio.Writer, v int64) {
 
 // ValueEmitter streams one block's ECQ symbols without a materialized
 // slice. The caller announces runs of zero quanta (Zeros) and single
-// nonzero quanta (Value) in index order; the emitted bitstream is
-// identical to Encode over the equivalent dense slice with the same
-// method and ECb_max.
+// nonzero quanta (Value) in index order, under one method and ECb_max.
 type ValueEmitter struct {
 	W      *bitio.Writer
 	M      Method
@@ -138,10 +135,9 @@ func (e ValueEmitter) Value(v int64) {
 // EncodeSparseList writes the sparse (count, then per-nonzero
 // index+value) representation straight from a gathered nonzero list:
 // idxs must be the strictly ascending block positions of the nonzero
-// quanta and vals their values. The bitstream is identical to
-// EncodeSparse over the equivalent dense slice. Combined
-// (index, value) codewords are packed into a local 64-bit register
-// before spilling, like bitio's *N kernels.
+// quanta and vals their values. Combined (index, value) codewords are
+// packed into a local 64-bit register before spilling, like bitio's *N
+// kernels.
 //
 //pastri:hotpath
 func EncodeSparseList(w *bitio.Writer, idxs []int32, vals []int64, ecbMax, idxBits, countBits uint) {
@@ -171,12 +167,11 @@ func EncodeSparseList(w *bitio.Writer, idxs []int32, vals []int64, ecbMax, idxBi
 }
 
 // EncodeList writes the dense ECQ representation of a block of n quanta
-// straight from its gathered nonzero list, producing exactly the bytes
-// Encode emits for the equivalent dense slice. The shipped Tree 5 /
-// Tree 3 codes go through packed loops that assemble zero runs and
-// codewords in a local 64-bit register (one WriteBits per ~64 emitted
-// bits); the remaining methods stream through the per-value emitters.
-// See TestEncodeListMatchesEncode.
+// straight from its gathered nonzero list (idxs strictly ascending, vals
+// their values) under method m. The shipped Tree 5 / Tree 3 codes go
+// through packed loops that assemble zero runs and codewords in a local
+// 64-bit register (one WriteBits per ~64 emitted bits); the remaining
+// methods stream through the per-value emitters.
 //
 //pastri:hotpath
 func EncodeList(w *bitio.Writer, idxs []int32, vals []int64, n int, ecbMax uint, m Method) {

@@ -68,10 +68,12 @@ func driveEmitter(e ValueEmitter, vals []int64) {
 	e.Zeros(len(vals) - prev)
 }
 
+// TestValueEmitterMatchesEncode drives the per-value emitters against
+// the symbol-at-a-time referenceEncode over the equivalent dense slice.
 func TestValueEmitterMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, m := range Methods {
-		for _, ecbMax := range []uint{2, 3, 6, 11, 31, 62, 63} {
+		for _, ecbMax := range []uint{2, 3, 6, 11, 31, 62, 63, 64} {
 			for trial := 0; trial < 30; trial++ {
 				n := rng.Intn(400)
 				zeroFrac := []float64{0, 0.5, 0.95, 1}[rng.Intn(4)]
@@ -88,11 +90,11 @@ func TestValueEmitterMatchesEncode(t *testing.T) {
 				}
 
 				ref := &bitio.Writer{}
-				Encode(ref, vals, ecbMax, m)
+				referenceEncode(ref, vals, ecbMax, m)
 				got := &bitio.Writer{}
 				driveEmitter(ValueEmitter{W: got, M: m, ECbMax: ecbMax}, vals)
 				if ref.BitLen() != got.BitLen() || !bytes.Equal(ref.Bytes(), got.Bytes()) {
-					t.Fatalf("%v ecbMax=%d n=%d zeroFrac=%g: emitter stream differs from Encode",
+					t.Fatalf("%v ecbMax=%d n=%d zeroFrac=%g: emitter stream differs from the reference",
 						m, ecbMax, n, zeroFrac)
 				}
 			}
@@ -102,11 +104,12 @@ func TestValueEmitterMatchesEncode(t *testing.T) {
 
 // TestEncodeListMatchesEncode drives the list-shaped dense emitter —
 // packed register loops for Tree 3/Tree 5, emitter fallback for the
-// rest — against Encode over the equivalent dense slice.
+// rest — against the symbol-at-a-time referenceEncode over the
+// equivalent dense slice.
 func TestEncodeListMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, m := range Methods {
-		for _, ecbMax := range []uint{2, 3, 6, 11, 31, 62, 63} {
+		for _, ecbMax := range []uint{2, 3, 6, 11, 31, 62, 63, 64} {
 			for trial := 0; trial < 30; trial++ {
 				n := rng.Intn(400)
 				zeroFrac := []float64{0, 0.5, 0.95, 1}[rng.Intn(4)]
@@ -122,12 +125,12 @@ func TestEncodeListMatchesEncode(t *testing.T) {
 				}
 
 				ref := &bitio.Writer{}
-				Encode(ref, vals, ecbMax, m)
+				referenceEncode(ref, vals, ecbMax, m)
 				idxs, nz := gather(vals)
 				got := &bitio.Writer{}
 				EncodeList(got, idxs, nz, n, ecbMax, m)
 				if ref.BitLen() != got.BitLen() || !bytes.Equal(ref.Bytes(), got.Bytes()) {
-					t.Fatalf("%v ecbMax=%d n=%d zeroFrac=%g: EncodeList stream differs from Encode",
+					t.Fatalf("%v ecbMax=%d n=%d zeroFrac=%g: EncodeList stream differs from the reference",
 						m, ecbMax, n, zeroFrac)
 				}
 			}
@@ -135,6 +138,27 @@ func TestEncodeListMatchesEncode(t *testing.T) {
 	}
 }
 
+// referenceEncodeSparse is the symbol-at-a-time sparse coder: the
+// nonzero count, then each nonzero's index and value as separate
+// fields.
+func referenceEncodeSparse(w *bitio.Writer, vals []int64, ecbMax, idxBits, countBits uint) {
+	nnz := uint64(0)
+	for _, v := range vals {
+		if v != 0 {
+			nnz++
+		}
+	}
+	w.WriteBits(nnz, countBits)
+	for i, v := range vals {
+		if v != 0 {
+			w.WriteBits(uint64(i), idxBits)
+			w.WriteSigned(v, ecbMax)
+		}
+	}
+}
+
+// TestEncodeSparseListMatchesEncodeSparse drives the packed sparse list
+// emitter against referenceEncodeSparse.
 func TestEncodeSparseListMatchesEncodeSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, ecbMax := range []uint{2, 3, 11, 31, 62, 63} {
@@ -145,12 +169,12 @@ func TestEncodeSparseListMatchesEncodeSparse(t *testing.T) {
 			countBits := IndexBits(n + 1)
 
 			ref := &bitio.Writer{}
-			EncodeSparse(ref, vals, ecbMax, idxBits, countBits)
+			referenceEncodeSparse(ref, vals, ecbMax, idxBits, countBits)
 			idxs, nz := gather(vals)
 			got := &bitio.Writer{}
 			EncodeSparseList(got, idxs, nz, ecbMax, idxBits, countBits)
 			if ref.BitLen() != got.BitLen() || !bytes.Equal(ref.Bytes(), got.Bytes()) {
-				t.Fatalf("ecbMax=%d n=%d: list stream differs from EncodeSparse", ecbMax, n)
+				t.Fatalf("ecbMax=%d n=%d: list stream differs from the reference", ecbMax, n)
 			}
 		}
 	}
@@ -162,12 +186,12 @@ func TestEncodeSparseListWideSplit(t *testing.T) {
 	vals := []int64{0, 1, 0, -5, 7}
 	idxBits, ecbMax, countBits := uint(3), uint(63), uint(3)
 	ref := &bitio.Writer{}
-	EncodeSparse(ref, vals, ecbMax, idxBits, countBits)
+	referenceEncodeSparse(ref, vals, ecbMax, idxBits, countBits)
 	idxs, nz := gather(vals)
 	got := &bitio.Writer{}
 	EncodeSparseList(got, idxs, nz, ecbMax, idxBits, countBits)
 	if ref.BitLen() != got.BitLen() || !bytes.Equal(ref.Bytes(), got.Bytes()) {
-		t.Fatal("wide-split list stream differs from EncodeSparse")
+		t.Fatal("wide-split list stream differs from the reference")
 	}
 }
 

@@ -4,11 +4,12 @@
 // coder, and the sparse (index, value) representation the paper mentions
 // in Sec. IV-C.
 //
-// All coders share the same contract: they encode a slice of int64 quanta
-// given the block's maximum bin number ECb_max (the number of bits of the
-// widest value present, per Fig. 6's bin convention), and decode exactly
-// len(dst) values back. Per the paper, ECb_max is stored in the block
-// header by the caller, so coders may rely on it.
+// All coders share the same contract: they encode a block of int64
+// quanta, given as the ascending (index, value) list of its nonzeros
+// (emit.go), under the block's maximum bin number ECb_max (the number of
+// bits of the widest value present, per Fig. 6's bin convention), and
+// decode exactly len(dst) values back. Per the paper, ECb_max is stored
+// in the block header by the caller, so coders may rely on it.
 //
 // Tree shapes (leaf codes):
 //
@@ -66,17 +67,6 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// zeroRunLen returns the number of consecutive zeros in vals starting
-// at i. The tree coders spend one bit per zero, so a run of k zeros is
-// exactly k zero bits — emitted in word-sized chunks by writeZeroRun.
-func zeroRunLen(vals []int64, i int) int {
-	j := i
-	for j < len(vals) && vals[j] == 0 {
-		j++
-	}
-	return j - i
-}
-
 // writeZeroRun emits k zero bits in at most k/64+1 WriteBits calls.
 func writeZeroRun(w *bitio.Writer, k int) {
 	for ; k >= 64; k -= 64 {
@@ -84,86 +74,6 @@ func writeZeroRun(w *bitio.Writer, k int) {
 	}
 	if k > 0 {
 		w.WriteBits(0, uint(k))
-	}
-}
-
-// Encode writes vals using method m. ecbMax must be ≥ the bin number
-// (quant.BitsForValue) of every value; the same ecbMax must be passed to
-// Decode. Every branch batches: runs of zero-valued symbols collapse to
-// word-sized zero writes and each code+payload pair that fits 64 bits is
-// a single WriteBits call, producing the same bitstream as the
-// symbol-at-a-time reference coder.
-//
-//pastri:hotpath
-func Encode(w *bitio.Writer, vals []int64, ecbMax uint, m Method) {
-	switch m {
-	case Fixed:
-		for _, v := range vals {
-			w.WriteSigned(v, ecbMax)
-		}
-	case Tree1:
-		for i := 0; i < len(vals); {
-			if k := zeroRunLen(vals, i); k > 0 {
-				writeZeroRun(w, k)
-				i += k
-				continue
-			}
-			emitTree1Value(w, vals[i], ecbMax)
-			i++
-		}
-	case Tree2:
-		for i := 0; i < len(vals); {
-			if k := zeroRunLen(vals, i); k > 0 {
-				writeZeroRun(w, k)
-				i += k
-				continue
-			}
-			emitTree2Value(w, vals[i], ecbMax)
-			i++
-		}
-	case Tree3:
-		encodeTree3(w, vals, ecbMax)
-	case Tree4:
-		for i := 0; i < len(vals); {
-			// A zero is bin 1 = a lone stop bit, so zero runs batch here
-			// exactly as in the binary trees.
-			if k := zeroRunLen(vals, i); k > 0 {
-				writeZeroRun(w, k)
-				i += k
-				continue
-			}
-			encodeTree4Value(w, vals[i])
-			i++
-		}
-	case Tree5:
-		if ecbMax <= 2 {
-			for i := 0; i < len(vals); {
-				if k := zeroRunLen(vals, i); k > 0 {
-					writeZeroRun(w, k)
-					i += k
-					continue
-				}
-				emitTree5NarrowValue(w, vals[i])
-				i++
-			}
-		} else {
-			encodeTree3(w, vals, ecbMax)
-		}
-	default:
-		panic(fmt.Sprintf("encoding: unknown method %v", m)) //lint:nopanic-ok unreachable: the Method switch above is exhaustive
-	}
-}
-
-//pastri:hotpath
-func encodeTree3(w *bitio.Writer, vals []int64, ecbMax uint) {
-	for i := 0; i < len(vals); {
-		if k := zeroRunLen(vals, i); k > 0 {
-			writeZeroRun(w, k)
-			i += k
-			continue
-		}
-		emitTree3Value(w, vals[i], ecbMax)
-		i++
 	}
 }
 
@@ -218,8 +128,8 @@ func readZeros(r *bitio.Reader, dst []int64, i int) int {
 	return i + k
 }
 
-// Decode reads len(dst) values previously written by Encode with the same
-// method and ecbMax. Tree3, and Tree5 at every ecbMax, decode from a
+// Decode reads len(dst) values previously written by EncodeList with the
+// same method and ecbMax. Tree3, and Tree5 at every ecbMax, decode from a
 // 64-bit window (window.go); the other coders consume runs of zero
 // symbols word-at-a-time via bitio.ReadZeroRun. The bit consumption is
 // identical to the symbol-at-a-time reference decoder.
@@ -344,8 +254,8 @@ func decodeTree4Value(r *bitio.Reader) (int64, error) {
 	}
 }
 
-// CostBits returns the exact number of bits Encode would produce, without
-// encoding. Used for the per-block method selection and for the sparse
+// CostBits returns the exact number of bits EncodeList would produce for
+// the dense slice vals, without encoding. Used for the per-block method selection and for the sparse
 // vs. dense decision.
 func CostBits(vals []int64, ecbMax uint, m Method) uint64 {
 	var bits uint64
@@ -424,37 +334,8 @@ func SparseCostBits(vals []int64, ecbMax, idxBits, countBits uint) uint64 {
 	return uint64(countBits) + nnz*uint64(idxBits+ecbMax)
 }
 
-// EncodeSparse writes vals as (count, then per-nonzero index+value).
-// When index and value fit one word together they go out as a single
-// WriteBits pattern.
-//
-//pastri:hotpath
-func EncodeSparse(w *bitio.Writer, vals []int64, ecbMax, idxBits, countBits uint) {
-	nnz := uint64(0)
-	for _, v := range vals {
-		if v != 0 {
-			nnz++
-		}
-	}
-	w.WriteBits(nnz, countBits)
-	if idxBits+ecbMax <= 64 && ecbMax < 64 {
-		for i, v := range vals {
-			if v != 0 {
-				w.WriteBits(uint64(i)<<ecbMax|uint64(v)&((1<<ecbMax)-1), idxBits+ecbMax) //lint:shiftwidth-ok ecbMax < 64 by the branch condition
-			}
-		}
-		return
-	}
-	for i, v := range vals {
-		if v != 0 {
-			w.WriteBits(uint64(i), idxBits)
-			w.WriteSigned(v, ecbMax)
-		}
-	}
-}
-
-// DecodeSparse reads a sparse representation into dst (which it zeroes
-// first).
+// DecodeSparse reads a sparse representation written by
+// EncodeSparseList into dst (which it zeroes first).
 func DecodeSparse(r *bitio.Reader, dst []int64, ecbMax, idxBits, countBits uint) error {
 	for i := range dst {
 		dst[i] = 0

@@ -19,11 +19,18 @@ func maxBin(vals []int64) uint {
 	return b
 }
 
+// encodeDense writes the dense slice vals through EncodeList, the way
+// the block encoder emits a block's gathered nonzeros.
+func encodeDense(w *bitio.Writer, vals []int64, ecbMax uint, m Method) {
+	idxs, nz := gather(vals)
+	EncodeList(w, idxs, nz, len(vals), ecbMax, m)
+}
+
 func roundTrip(t *testing.T, vals []int64, m Method) {
 	t.Helper()
 	ecb := maxBin(vals)
 	w := bitio.NewWriter(64)
-	Encode(w, vals, ecb, m)
+	encodeDense(w, vals, ecb, m)
 	if got, want := w.BitLen(), CostBits(vals, ecb, m); got != want {
 		t.Fatalf("%v: CostBits=%d but encoder wrote %d bits", m, want, got)
 	}
@@ -121,7 +128,7 @@ func TestQuickRoundTripRandom(t *testing.T) {
 		ecb := maxBin(vals)
 		for _, m := range Methods {
 			w := bitio.NewWriter(0)
-			Encode(w, vals, ecb, m)
+			encodeDense(w, vals, ecb, m)
 			if w.BitLen() != CostBits(vals, ecb, m) {
 				return false
 			}
@@ -151,7 +158,8 @@ func TestSparseRoundTrip(t *testing.T) {
 	idxBits := IndexBits(len(vals))
 	countBits := IndexBits(len(vals) + 1)
 	w := bitio.NewWriter(0)
-	EncodeSparse(w, vals, ecb, idxBits, countBits)
+	idxs, nz := gather(vals)
+	EncodeSparseList(w, idxs, nz, ecb, idxBits, countBits)
 	if got, want := w.BitLen(), SparseCostBits(vals, ecb, idxBits, countBits); got != want {
 		t.Fatalf("sparse cost mismatch: wrote %d, predicted %d", got, want)
 	}

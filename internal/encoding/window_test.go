@@ -62,7 +62,7 @@ func diffDecode(t *testing.T, data []byte, offset uint, ecbMax uint, m Method, n
 func encodeAt(vals []int64, offset, ecbMax uint, m Method) []byte {
 	w := bitio.NewWriter(64)
 	w.WriteBits(0x5b, offset)
-	Encode(w, vals, ecbMax, m)
+	encodeDense(w, vals, ecbMax, m)
 	return append([]byte(nil), w.Bytes()...)
 }
 

@@ -338,13 +338,12 @@ func TestIntegrationGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// The daemon serves from the fused compression path (the library
-// default). This test pins that end to end: the segment the service
-// stores for an upload must be byte-identical to the staged reference
-// path's stream over the same blocks — the fused/staged identity
-// observed through the full HTTP ingest stack, under the race detector
+// The segment the service stores for an upload must be byte-identical
+// to the stream a serial library StreamWriter produces over the same
+// blocks: the encoder's output observed through the full HTTP ingest
+// stack (parallel workers, sequencer, store), under the race detector
 // in CI's serve-test job.
-func TestIntegrationFusedMatchesStagedSegment(t *testing.T) {
+func TestIntegrationSegmentMatchesSerialStream(t *testing.T) {
 	for _, gc := range loadGoldenServeCases(t) {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
@@ -361,8 +360,7 @@ func TestIntegrationFusedMatchesStagedSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Staged oracle: the same blocks through a serial StreamWriter
-			// with the fused path disabled.
+			// Oracle: the same blocks through a serial StreamWriter.
 			data := make([]float64, len(gc.raw)/8)
 			for i := range data {
 				var bits uint64
@@ -371,14 +369,12 @@ func TestIntegrationFusedMatchesStagedSegment(t *testing.T) {
 				}
 				data[i] = math.Float64frombits(bits)
 			}
-			sCfg := gc.cfg
-			sCfg.DisableFused = true
 			var ref bytes.Buffer
-			sw, err := core.NewStreamWriter(&ref, sCfg)
+			sw, err := core.NewStreamWriter(&ref, gc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs := sCfg.BlockSize()
+			bs := gc.cfg.BlockSize()
 			for b := 0; b*bs < len(data); b++ {
 				if err := sw.WriteBlock(data[b*bs : (b+1)*bs]); err != nil {
 					t.Fatal(err)
@@ -388,7 +384,7 @@ func TestIntegrationFusedMatchesStagedSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(seg, ref.Bytes()) {
-				t.Fatalf("stored segment (fused service path) differs from staged reference stream (%d vs %d bytes)",
+				t.Fatalf("stored segment differs from the serial library stream (%d vs %d bytes)",
 					len(seg), ref.Len())
 			}
 		})

@@ -86,11 +86,17 @@ type Store struct {
 	dir    string
 	shards int
 
-	mu     sync.Mutex
-	quotas map[string]int64
-	used   map[string]int64    // committed bytes per tenant
-	open   map[string]*Segment // key → open segment handle
-	closed bool
+	mu      sync.Mutex
+	quotas  map[string]int64
+	used    map[string]int64    // committed bytes per tenant
+	open    map[string]*Segment // key → open segment handle
+	deletes uint64              // Delete count; Get re-opens when it moves mid-open
+	closed  bool
+
+	// afterOpen, when non-nil, runs in Get between opening a segment
+	// and registering its handle, so tests can interleave a Delete
+	// exactly there.
+	afterOpen func()
 }
 
 // Open opens (creating if necessary) a store rooted at cfg.Dir, scans
@@ -320,42 +326,57 @@ func (s *Store) Create(tenant, id string) (*SegmentWriter, error) {
 // Get returns an open handle for a committed stream. Handles are
 // cached: concurrent readers share one *Segment (its reads are
 // concurrency-safe), and the handle stays valid until Delete or Close.
+// Get never caches a handle whose open overlapped a Delete: once a
+// Delete returns, later Gets serve only what is committed after it.
 func (s *Store) Get(tenant, id string) (*Segment, error) {
 	if err := checkNames(tenant, id); err != nil {
 		return nil, err
 	}
 	k := key(tenant, id)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if seg := s.open[k]; seg != nil {
-		s.mu.Unlock()
-		return seg, nil
-	}
-	s.mu.Unlock()
-
 	segPath, idxPath := s.paths(tenant, id)
-	seg, err := openSegment(segPath, idxPath)
-	if err != nil {
-		return nil, err
-	}
-	seg.tenant, seg.id = tenant, id
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if seg := s.open[k]; seg != nil {
+			s.mu.Unlock()
+			return seg, nil
+		}
+		deletes := s.deletes
+		s.mu.Unlock()
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		seg.close() //lint:errdrop-ok store already closed; the handle never escaped
-		return nil, ErrClosed
+		seg, err := openSegment(segPath, idxPath)
+		if err != nil {
+			return nil, err
+		}
+		seg.tenant, seg.id = tenant, id
+		if s.afterOpen != nil {
+			s.afterOpen()
+		}
+
+		s.mu.Lock()
+		prior, closed, moved := s.open[k], s.closed, s.deletes != deletes
+		if !closed && prior == nil && !moved {
+			s.open[k] = seg
+			s.mu.Unlock()
+			return seg, nil
+		}
+		s.mu.Unlock()
+		// This handle never escapes: the store closed, another goroutine
+		// won the open race (keep its handle), or a Delete ran while the
+		// files were being opened. In the last case the handle may hold
+		// the deleted stream's unlinked files, which that Delete could
+		// not close because it never saw the handle, so open again.
+		seg.close() //lint:errdrop-ok the handle never escaped
+		switch {
+		case closed:
+			return nil, ErrClosed
+		case prior != nil:
+			return prior, nil
+		}
 	}
-	if prior := s.open[k]; prior != nil {
-		// Another goroutine won the open race; keep its handle.
-		seg.close() //lint:errdrop-ok duplicate handle from a lost open race
-		return prior, nil
-	}
-	s.open[k] = seg
-	return seg, nil
 }
 
 // Delete removes a committed stream and releases its quota bytes. The
@@ -379,6 +400,7 @@ func (s *Store) Delete(tenant, id string) error {
 	if err != nil {
 		return fmt.Errorf("store: %s/%s: %w", tenant, id, ErrNotFound)
 	}
+	s.deletes++
 	if seg := s.open[key(tenant, id)]; seg != nil {
 		delete(s.open, key(tenant, id))
 		seg.close() //lint:errdrop-ok the files are unlinked below regardless

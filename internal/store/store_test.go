@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -416,6 +417,108 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// A Get whose segment open straddles a Delete and a re-upload under
+// the same id must not cache the deleted stream's handle: once the
+// Delete has returned, every Get serves the re-uploaded stream. The
+// afterOpen hook runs the Delete and the re-upload at exactly that
+// point of the first Get.
+func TestStoreGetRacingDeleteCachesNoStaleHandle(t *testing.T) {
+	cfg := testCfg()
+	compA := mustCompress(t, cfg, testBlocks(cfg, 2, 1))
+	dataB := testBlocks(cfg, 2, 2)
+	compB := mustCompress(t, cfg, dataB)
+	wantB, err := core.Decompress(compB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, Config{})
+	putStream(t, st, "alice", "s1", compA)
+	st.afterOpen = func() {
+		st.afterOpen = nil
+		if err := st.Delete("alice", "s1"); err != nil {
+			t.Fatal(err)
+		}
+		putStream(t, st, "alice", "s1", compB)
+	}
+	if _, err := st.Get("alice", "s1"); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := st.Get("alice", "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, cfg.BlockSize())
+	if err := seg.ReadBlock(0, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range dst {
+		if math.Float64bits(v) != math.Float64bits(wantB[i]) {
+			t.Fatalf("value %d: Get serves the deleted stream, not the re-upload", i)
+		}
+	}
+}
+
+// Concurrent readers Get and read the stream while the test goroutine
+// deletes and re-uploads it: a read racing a Delete may fail, but once
+// the re-upload is committed, Get serves it.
+func TestStoreGetDuringDeleteCycles(t *testing.T) {
+	cfg := testCfg()
+	comps := make([][]byte, 2)
+	wants := make([][]float64, 2)
+	for i := range comps {
+		comps[i] = mustCompress(t, cfg, testBlocks(cfg, 1, uint64(i+1)))
+		want, err := core.Decompress(comps[i], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = want
+	}
+	st := openStore(t, Config{})
+	putStream(t, st, "alice", "s1", comps[0])
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]float64, cfg.BlockSize())
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if seg, err := st.Get("alice", "s1"); err == nil {
+					_ = seg.ReadBlock(0, dst) // may race the Delete that closes seg
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	dst := make([]float64, cfg.BlockSize())
+	for i := 1; i <= 30; i++ {
+		if err := st.Delete("alice", "s1"); err != nil {
+			t.Fatal(err)
+		}
+		putStream(t, st, "alice", "s1", comps[i%2])
+		seg, err := st.Get("alice", "s1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.ReadBlock(0, dst); err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range dst {
+			if math.Float64bits(v) != math.Float64bits(wants[i%2][j]) {
+				t.Fatalf("cycle %d: Get serves a deleted upload", i)
+			}
 		}
 	}
 }

@@ -65,11 +65,6 @@ type Options struct {
 	// DisableSparse forces the dense ECQ representation; it exists for
 	// ablation studies and costs compression ratio.
 	DisableSparse bool
-	// DisableFused compresses through the staged reference encoder
-	// instead of the fused single-pass path. Output is byte-identical
-	// either way; the switch exists for A/B benchmarking and
-	// verification, costs speed, and is never recorded in streams.
-	DisableFused bool
 	// Workers bounds (de)compression parallelism; 0 uses GOMAXPROCS.
 	Workers int
 	// Collector, when non-nil, receives per-stage timings, byte
@@ -117,7 +112,6 @@ func (o Options) internal() core.Config {
 		Metric:        pattern.Metric(o.Metric),
 		Encoding:      encoding.Method(o.Encoding),
 		DisableSparse: o.DisableSparse,
-		DisableFused:  o.DisableFused,
 		Workers:       o.Workers,
 		Collector:     o.Collector,
 		Logger:        o.Logger,
