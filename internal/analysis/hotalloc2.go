@@ -43,13 +43,11 @@ import (
 // word directly and the conversion does not allocate.
 //
 // Findings inherited by reachability carry the propagation chain from
-// the marked root. Legacy //lint:hotalloc-ok markers are honored so
-// first-generation annotations keep working.
+// the marked root.
 var HotAlloc2 = &ModuleAnalyzer{
-	Name:     "hotalloc2",
-	Doc:      "flag allocations (make/append/closures/boxing/string concat) in or reachable from //pastri:hotpath functions",
-	Suppress: []string{"hotalloc"},
-	Run:      runHotAlloc2,
+	Name: "hotalloc2",
+	Doc:  "flag allocations (make/append/closures/boxing/string concat) in or reachable from //pastri:hotpath functions",
+	Run:  runHotAlloc2,
 }
 
 func runHotAlloc2(p *ModulePass) {

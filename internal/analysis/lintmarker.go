@@ -10,9 +10,8 @@ import (
 )
 
 // LintMarker keeps suppression markers honest. A //lint:<name>-ok
-// comment whose name is neither a registered analyzer nor the legacy
-// hotalloc alias that hotalloc2 still honors suppresses nothing, yet
-// tells the reader that some check was considered and waived. The
+// comment whose name is not a registered analyzer suppresses nothing,
+// yet tells the reader that some check was considered and waived. The
 // package's _test.go files, which no other analyzer reads, are scanned
 // too.
 var LintMarker = &Analyzer{
@@ -32,9 +31,6 @@ func markerNames() map[string]bool {
 	}
 	for _, a := range AllModule() {
 		names[a.Name] = true
-		for _, alias := range a.Suppress {
-			names[alias] = true
-		}
 	}
 	return names
 }

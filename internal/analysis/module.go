@@ -17,11 +17,7 @@ import (
 type ModuleAnalyzer struct {
 	Name string // identifier used in //lint:<name>-ok markers
 	Doc  string
-	// Suppress lists additional marker names honored for this
-	// analyzer's findings; hotalloc2 grandfathers the first-generation
-	// //lint:hotalloc-ok annotations this way.
-	Suppress []string
-	Run      func(*ModulePass)
+	Run  func(*ModulePass)
 }
 
 // A ModulePass carries the loaded module through one module analyzer.
@@ -130,28 +126,13 @@ func RunModule(pkgs []*Package, analyzers []*ModuleAnalyzer) []Diagnostic {
 		}
 		a.Run(pass)
 	}
-	aliases := make(map[string][]string)
-	for _, a := range analyzers {
-		aliases[a.Name] = append([]string{a.Name}, a.Suppress...)
-	}
 	sup := &suppressionSet{byFile: make(map[string]map[int]map[string]bool)}
 	for _, pkg := range pkgs {
 		mergeSuppressions(sup, collectSuppressions(pkg.Fset, pkg.Files))
 	}
 	kept := diags[:0]
 	for _, d := range diags {
-		names := aliases[d.Analyzer]
-		if len(names) == 0 {
-			names = []string{d.Analyzer}
-		}
-		drop := false
-		for _, n := range names {
-			if sup.suppressedAs(d, n) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
+		if !sup.suppressed(d) {
 			kept = append(kept, d)
 		}
 	}

@@ -57,15 +57,9 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressionSet
 }
 
 func (s *suppressionSet) suppressed(d Diagnostic) bool {
-	return s.suppressedAs(d, d.Analyzer)
-}
-
-// suppressedAs checks the marker under a specific name, so analyzers
-// can honor legacy marker spellings (see ModuleAnalyzer.Suppress).
-func (s *suppressionSet) suppressedAs(d Diagnostic, name string) bool {
 	lines := s.byFile[d.Pos.Filename]
 	if lines == nil {
 		return false
 	}
-	return lines[d.Pos.Line][name]
+	return lines[d.Pos.Line][d.Analyzer]
 }

@@ -162,13 +162,6 @@ func annotatedSetup(nblocks int) [][]byte {
 	return payloads
 }
 
-// Suppressed via the legacy first-generation marker, still honored.
-
-//pastri:hotpath
-func legacyAnnotated(n int) []byte {
-	return make([]byte, n) //lint:hotalloc-ok legacy annotation from the v1 analyzer
-}
-
 // Clean: cold functions allocate freely.
 
 func coldPath(n int) []float64 {

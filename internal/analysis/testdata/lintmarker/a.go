@@ -1,10 +1,10 @@
 package fixtures
 
-// Markers naming a registered analyzer, or hotalloc2's legacy alias,
-// are fine; one naming no analyzer is reported.
+// Markers naming a registered analyzer are fine; one naming no
+// analyzer, such as the retired first-generation hotalloc, is reported.
 
 func markers(a, b float64) bool {
 	x := a == b   //lint:floatcmp-ok exact sentinel comparison
-	_ = x         //lint:hotalloc-ok legacy spelling hotalloc2 still honors
+	_ = x         //lint:hotalloc-ok retired analyzer // want "hotalloc-ok names no analyzer"
 	return a != b //lint:errcmp-ok no such analyzer // want "errcmp-ok names no analyzer"
 }

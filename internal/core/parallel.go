@@ -53,7 +53,7 @@ func normalizeWorkers(workers, nblocks int) int {
 func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]*[]byte, error) {
 	bs := cfg.BlockSize()
 	nblocks := len(data) / bs
-	payloads := make([]*[]byte, nblocks) //lint:hotalloc-ok one slice per call, not per block
+	payloads := make([]*[]byte, nblocks) //lint:hotalloc2-ok one slice per call, not per block
 	workers = normalizeWorkers(workers, nblocks)
 
 	if workers <= 1 {
@@ -68,7 +68,7 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 				return nil, err
 			}
 			p := getPayload()
-			*p = append((*p)[:0], w.Bytes()...) //lint:hotalloc-ok pooled buffer: append is in place once warm
+			*p = append((*p)[:0], w.Bytes()...) //lint:hotalloc2-ok pooled buffer: append is in place once warm
 			payloads[b] = p
 		}
 		return payloads, nil
@@ -81,7 +81,7 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 	)
 	tSplit := cfg.Collector.StageStart()
 	spSplit := cfg.Trace.StartChild("block_split")
-	next := make(chan int, nblocks) //lint:hotalloc-ok one channel per call, not per block
+	next := make(chan int, nblocks) //lint:hotalloc2-ok one channel per call, not per block
 	for b := 0; b < nblocks; b++ {
 		next <- b
 	}
@@ -114,7 +114,7 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 						return
 					}
 					p := getPayload()
-					*p = append((*p)[:0], w.Bytes()...) //lint:hotalloc-ok pooled buffer: append is in place once warm
+					*p = append((*p)[:0], w.Bytes()...) //lint:hotalloc2-ok pooled buffer: append is in place once warm
 					payloads[b] = p
 				}
 				if local != nil {

@@ -94,12 +94,12 @@ func (sc *Scratch) Analyze(block []float64, numSB, sbSize int, m Metric) (Result
 		return Result{}, fmt.Errorf("pattern: block has %d points, geometry wants %d×%d=%d",
 			len(block), numSB, sbSize, numSB*sbSize)
 	}
-	sc.scales = growF64(sc.scales, numSB) //lint:hotalloc-ok grows once to the session geometry, then reused
+	sc.scales = growF64(sc.scales, numSB) //lint:hotalloc2-ok grows once to the session geometry, then reused
 	switch m {
 	case FR, ER:
 		return analyzePointRatio(block, numSB, sbSize, m, sc.scales), nil
 	case AR, AAR, IS:
-		sc.aggs = growF64(sc.aggs, numSB) //lint:hotalloc-ok grows once to the session geometry, then reused
+		sc.aggs = growF64(sc.aggs, numSB) //lint:hotalloc2-ok grows once to the session geometry, then reused
 		switch m {
 		case AR:
 			return analyzeAggregate(block, numSB, sbSize, mean, false, sc.scales, sc.aggs), nil
@@ -261,7 +261,7 @@ func DeviationsInto(dst []float64, block []float64, numSB, sbSize int, res Resul
 		c := res.Scales[s]
 		sb := block[s*sbSize : (s+1)*sbSize]
 		for i, x := range sb {
-			dst = append(dst, x-c*pat[i]) //lint:hotalloc-ok callers pass pre-sized dst; the append is in-place
+			dst = append(dst, x-c*pat[i]) //lint:hotalloc2-ok callers pass pre-sized dst; the append is in-place
 		}
 	}
 	return dst

@@ -95,25 +95,48 @@ func testConfig(t *testing.T, cfg core.Config, workers int) Config {
 	return c
 }
 
+// call sends one request as tenant and returns the response body and
+// the trace ID of its traceparent header (empty when absent). A status
+// other than want is an error. call never fails the test itself, so
+// load goroutines use it directly.
+func call(client *http.Client, method, url, tenant string, body []byte, want int) ([]byte, string, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		return nil, "", err
+	}
+	req.Header.Set("X-Pastri-Tenant", tenant)
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s %s: %w", method, url, err)
+	}
+	if resp.StatusCode != want {
+		return nil, "", fmt.Errorf("%s %s: status %d, want %d: %s", method, url, resp.StatusCode, want, out)
+	}
+	var traceID string
+	if tp := resp.Header.Get("Traceparent"); len(tp) == 55 {
+		traceID = tp[3:35]
+	}
+	return out, traceID, nil
+}
+
 // upload POSTs a raw body and fails the test on a non-201 response.
 func upload(t *testing.T, ts *httptest.Server, tenant, id string, body []byte) map[string]any {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/streams?id="+id, bytes.NewReader(body))
+	resp, _, err := call(ts.Client(), http.MethodPost, ts.URL+"/v1/streams?id="+id, tenant, body, http.StatusCreated)
 	if err != nil {
 		t.Fatal(err)
-	}
-	req.Header.Set("X-Pastri-Tenant", tenant)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(resp.Body) //lint:errdrop-ok best-effort diagnostic body
-		t.Fatalf("upload %s: status %d: %s", id, resp.StatusCode, b)
 	}
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(resp, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -122,25 +145,16 @@ func upload(t *testing.T, ts *httptest.Server, tenant, id string, body []byte) m
 // readBlock GETs one block's raw payload.
 func readBlock(t *testing.T, ts *httptest.Server, tenant, id string, n int) []byte {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/streams/%s/blocks/%d", ts.URL, id, n), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Pastri-Tenant", tenant)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body) //lint:errdrop-ok best-effort diagnostic body
-		t.Fatalf("read %s block %d: status %d: %s", id, n, resp.StatusCode, b)
-	}
-	body, err := io.ReadAll(resp.Body)
+	body, _, err := call(ts.Client(), http.MethodGet, blockURL(ts.URL, id, n), tenant, nil, http.StatusOK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// blockURL is the read route for block n of stream id.
+func blockURL(baseURL, id string, n int) string {
+	return fmt.Sprintf("%s/v1/streams/%s/blocks/%d", baseURL, id, n)
 }
 
 // findSegment locates the single committed segment under a store dir.
@@ -198,11 +212,7 @@ func TestIntegrationGoldenServe(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: stored segment does not decompress: %v", workers, err)
 				}
-				decBytes := make([]byte, len(dec)*8)
-				for i, v := range dec {
-					putF64(decBytes[i*8:], v)
-				}
-				if !bytes.Equal(decBytes, gc.dec) {
+				if !bytes.Equal(float64Bytes(dec), gc.dec) {
 					t.Fatalf("workers=%d: serial decode of stored segment differs from golden", workers)
 				}
 				segByWorkers[workers] = seg
@@ -223,13 +233,6 @@ func TestIntegrationGoldenServe(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func putF64(dst []byte, v float64) {
-	bits := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		dst[i] = byte(bits >> (8 * i))
 	}
 }
 

@@ -269,12 +269,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // families, tenant-labeled pipeline families, and Go runtime families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.writePrometheus(w)
-}
-
-// writePrometheus emits the scrape body. Split from the handler so the
-// loadtest can capture a scrape without an HTTP round trip.
-func (s *Server) writePrometheus(w interface{ Write([]byte) (int, error) }) {
 	var b promBuf
 
 	m := s.metrics

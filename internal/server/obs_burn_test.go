@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -61,7 +62,10 @@ func TestSLOBurnEndToEnd(t *testing.T) {
 					return
 				default:
 				}
-				readBlock(t, ts, "tiny", "s1", n)
+				if _, _, err := call(ts.Client(), http.MethodGet, blockURL(ts.URL, "s1", n), "tiny", nil, http.StatusOK); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -69,18 +73,28 @@ func TestSLOBurnEndToEnd(t *testing.T) {
 
 	// The sampler must detect the burn on its own cadence.
 	deadline := time.Now().Add(10 * time.Second)
-	var burning bool
+	var (
+		rep  *slo.Report
+		read slo.ObjectiveStatus
+	)
 	for time.Now().Before(deadline) {
-		if rep := srv.lastSLO.Load(); rep != nil {
-			if st, ok := rep.Find("tiny", slo.ReadLatency); ok && st.State == slo.StateFastBurn {
-				burning = true
+		if rep = srv.lastSLO.Load(); rep != nil {
+			if read, _ = rep.Find("tiny", slo.ReadLatency); read.State == slo.StateFastBurn {
 				break
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !burning {
+	if read.State != slo.StateFastBurn {
 		t.Fatal("sampler never flipped tiny's read_latency to fast_burn")
+	}
+	// No read can beat 1 ns, so none counts as good, and the burn is
+	// the report's worst state.
+	if read.LifetimeGood != 0 {
+		t.Fatalf("tiny read_latency: %v good and %v bad events, want no good ones", read.LifetimeGood, read.LifetimeBad)
+	}
+	if rep.WorstState != slo.StateFastBurn {
+		t.Fatalf("worst_state = %s, want fast_burn", rep.WorstState)
 	}
 
 	// Readiness is deliberately orthogonal to SLO burn.
@@ -93,7 +107,7 @@ func TestSLOBurnEndToEnd(t *testing.T) {
 	// tenant. CPU capture runs asynchronously for CPUSampleMS.
 	var forced profring.Entry
 	for time.Now().Before(deadline) {
-		for _, e := range srv.ProfileEntries() {
+		for _, e := range srv.profiles.Entries() {
 			if e.Kind == profring.KindCPU && e.Reason == profring.ReasonSLOBurn {
 				forced = e
 				break
@@ -139,7 +153,7 @@ func TestSLOBurnEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Profiles = srv.ProfileEntries()
+	d.Profiles = srv.profiles.Entries()
 	var buf bytes.Buffer
 	if err := opsreport.Render(&buf, d); err != nil {
 		t.Fatal(err)

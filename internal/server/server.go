@@ -149,8 +149,8 @@ func New(cfg Config, logger *slog.Logger) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the daemon's HTTP handler (for tests and in-process
-// loadtests).
+// Handler returns the daemon's HTTP handler, for serving it from an
+// httptest.Server in tests.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve listens on cfg.Listen and blocks until Shutdown. The returned
@@ -201,21 +201,10 @@ func (s *Server) Close() error {
 	return s.st.Close()
 }
 
-// CacheStats exposes the block cache counters (loadtest reporting).
-func (s *Server) CacheStats() blockcache.Stats { return s.cache.Stats() }
-
-// TraceStats exposes the tracer counters (loadtest and bench
-// reporting).
-func (s *Server) TraceStats() trace.Stats { return s.tracer.Stats() }
-
 // WriteTraces writes the retained-trace ring as Chrome trace-event
 // JSON — the same body GET /debug/traces serves (daemon shutdown dump
 // and tests).
 func (s *Server) WriteTraces(w io.Writer) error { return trace.WriteChrome(w, s.tracer.Ring()) }
-
-// ProfileEntries lists the profile ring's attribution sidecars, oldest
-// first (nil when profiling is disabled) — bench ops dumps and tests.
-func (s *Server) ProfileEntries() []profring.Entry { return s.profiles.Entries() }
 
 // apiError is the wire error shape.
 type apiError struct {

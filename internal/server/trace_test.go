@@ -231,7 +231,7 @@ func TestRequestTraceTree(t *testing.T) {
 
 	// Every request above survived tail sampling (keep_fraction 1), so
 	// the stats and the export must agree.
-	st := srv.TraceStats()
+	st := srv.tracer.Stats()
 	if st.TracesRetained != uint64(len(trees)) {
 		t.Fatalf("stats retained %d traces, export has %d", st.TracesRetained, len(trees))
 	}

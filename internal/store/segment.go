@@ -150,9 +150,11 @@ type segDecoder struct {
 
 // openSegment validates the (segment, index) pair: index checksum and
 // bounds, segment size and whole-file CRC, and a parseable stream
-// header whose geometry the decoder accepts. An open segment can then
+// header whose geometry the decoder accepts. The segment is opened
+// once: the bytes checked are read through the handle the Segment
+// keeps, so it serves the file it verified. An open segment can then
 // serve blocks with one ReadAt each.
-func openSegment(segPath, idxPath string) (*Segment, error) {
+func openSegment(segPath, idxPath string) (_ *Segment, err error) {
 	idxBytes, err := os.ReadFile(idxPath)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -164,11 +166,26 @@ func openSegment(segPath, idxPath string) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	segBytes, err := os.ReadFile(segPath)
+	f, err := os.Open(segPath)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("store: %s: %w", segPath, ErrNotFound)
 		}
+		return nil, fmt.Errorf("store: opening segment: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close() //lint:errdrop-ok already failing; the open error wins
+		}
+	}()
+	// Size the read from the file, as os.ReadFile does, not from the
+	// length the index records.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: reading segment: %w", err)
+	}
+	segBytes := make([]byte, fi.Size())
+	if _, err := f.ReadAt(segBytes, 0); err != nil {
 		return nil, fmt.Errorf("store: reading segment: %w", err)
 	}
 	if uint64(len(segBytes)) != segLen {
@@ -193,10 +210,6 @@ func openSegment(segPath, idxPath string) (*Segment, error) {
 			return nil, fmt.Errorf("store: stream has %d blocks, index %d: %w",
 				br.NumBlocks(), len(blocks), ErrCorrupt)
 		}
-	}
-	f, err := os.Open(segPath)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening segment: %w", err)
 	}
 	return &Segment{
 		f:      f,

@@ -14,9 +14,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden schema files")
 
 // TestReportSchemaGolden pins the JSON shape of the /debug/slo payload
 // the same way the telemetry snapshot golden does: one line per field
-// path with its wire type. The report is consumed by pastrid-report,
-// the loadtest fleet, and (soon) the adaptive-EB control loop, so the
-// schema only changes together with this golden
+// path with its wire type. The report is consumed by pastrid report
+// and the server tests, so the schema only changes together with this
+// golden
 // (go test ./internal/telemetry/slo -run Schema -update).
 func TestReportSchemaGolden(t *testing.T) {
 	var schema strings.Builder

@@ -9,8 +9,9 @@
 //     overlapping spans (parallel pipeline workers) get their own
 //     lanes instead of nesting incorrectly
 //   - span identity (trace_id / span_id / parent_id) and annotations
-//     in args, which is also what the loadtest fleet parses to check
-//     tail retention
+//     in args, which is also what pastribench's ledger parses to
+//     attribute request time and the server tests parse to check
+//     retention
 package trace
 
 import (

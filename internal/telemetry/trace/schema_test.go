@@ -14,8 +14,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden schema files")
 
 // TestTraceSchemaGolden pins the JSON shape of the trace surfaces:
 // the Chrome trace-event export served by GET /debug/traces and
-// written by -traceout (parsed by Perfetto, chrome://tracing and the
-// loadtest fleet's retention check), the FinishedTrace/SpanData forms
+// written by -traceout (parsed by Perfetto, chrome://tracing,
+// pastribench's ledger and the server tests' retention checks), the
+// FinishedTrace/SpanData forms
 // and the Stats snapshot. Renaming or retyping a field breaks those
 // consumers silently, so the schema can only change together with
 // this golden (go test ./internal/telemetry/trace -run Schema -update).

@@ -75,7 +75,7 @@ type Config struct {
 	// KeepFraction is the probability in [0, 1] that an otherwise
 	// unremarkable finished trace is kept anyway, preserving baseline
 	// (non-outlier) traces for comparison. 1.0 keeps everything —
-	// used by the loadtest fleet to make retention deterministic.
+	// used by the server tests to make retention deterministic.
 	KeepFraction float64
 
 	// RingDepth bounds the finished-trace export ring (default
