@@ -164,13 +164,14 @@ cover:
 # store fault injection, cache correctness, the HTTP integration tests
 # (golden fixtures at worker counts 1/4/7, wire-protocol goldens,
 # span-tree parentage, two tenants' concurrent uploads and reads
-# checked against the serial decode, trace retention and SLO coverage)
-# and the ops report — then pastribench's smoke test, which runs every
+# checked against the serial decode, trace retention and SLO coverage,
+# and the same trace and SLO checks made from outside the package in
+# internal/server/loadtest) and the ops report — then pastribench's smoke test, which runs every
 # workload at smoke sizes, the service ones against the real pastrid
 # binary, and fails on any read or upload that disagrees with its
 # serial oracle.
 serve-test:
-	$(GO) test -race -count=1 ./internal/store ./internal/blockcache ./internal/server ./internal/opsreport
+	$(GO) test -race -count=1 ./internal/store ./internal/blockcache ./internal/server/... ./internal/opsreport
 	cd bench && $(GO) test -count=1 ./...
 
 # cover-serve: combined statement coverage of the serving stack
