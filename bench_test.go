@@ -439,7 +439,9 @@ func BenchmarkCompressWorkersFF(b *testing.B) {
 
 // BenchmarkDecompressCollect measures whole-stream decompression (the
 // decode-side counterpart of BenchmarkCompressWorkers), with and
-// without a live collector, at 1 and 4 workers.
+// without a live collector, at 1 and 4 workers. The name predates
+// DecompressLogged; bench-gate and the committed BENCH records key on
+// it.
 func BenchmarkDecompressCollect(b *testing.B) {
 	ds := getDataset(b, "alanine", 2)
 	opts := pastri.NewOptions(ds.numSB, ds.sbSize, 1e-10)
@@ -461,7 +463,7 @@ func BenchmarkDecompressCollect(b *testing.B) {
 		col := pastri.NewCollector()
 		b.SetBytes(ds.rawBytes)
 		for i := 0; i < b.N; i++ {
-			if _, err := pastri.DecompressCollect(comp, 1, col); err != nil {
+			if _, err := pastri.DecompressLogged(comp, 1, col, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -555,7 +557,7 @@ func BenchmarkBlockCodec(b *testing.B) {
 
 // BenchmarkDecodeBlock isolates the per-block decode hot path on (dd|dd)
 // and (ff|ff) shaped blocks: one reused decoder, one reused reader, a
-// preallocated destination — the steady state of DecompressCollect's
+// preallocated destination — the steady state of DecompressLogged's
 // inner loop, and the subject of TestDecodeBlockAllocs.
 func BenchmarkDecodeBlock(b *testing.B) {
 	for _, shape := range []struct {

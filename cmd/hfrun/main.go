@@ -114,7 +114,7 @@ func run(molName, store string, eb float64, charge, mult int, uhf, mp2 bool, log
 		if uhf {
 			return fmt.Errorf("blocked store supports RHF only")
 		}
-		bst, err := hf.NewBlockedStoreLogged(bs, eb, logger)
+		bst, err := hf.NewBlockedStore(bs, eb, logger)
 		if err != nil {
 			return err
 		}
@@ -136,7 +136,7 @@ func run(molName, store string, eb float64, charge, mult int, uhf, mp2 bool, log
 	case "direct":
 		src = &hf.DirectSource{BS: bs}
 	case "pastri":
-		cs, err := hf.NewCompressedSourceLogged(bs, eb, logger)
+		cs, err := hf.NewCompressedSource(bs, eb, logger)
 		if err != nil {
 			return err
 		}

@@ -140,6 +140,50 @@ func TestStructuredLogJSON(t *testing.T) {
 	}
 }
 
+// TestStructuredLogDecompress: -d -log json -loglevel info emits one
+// stream decompressed summary carrying the stream's geometry, error
+// bound, byte counts and worker count.
+func TestStructuredLogDecompress(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "in.f64")
+	comp := filepath.Join(dir, "out.pstr")
+	writeRawFile(t, raw, testData())
+	if err := run(compressOpts(raw, comp, nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	o := cliOpts{decompress: true, inPath: comp, outPath: filepath.Join(dir, "back.f64"), workers: 1,
+		logMode: "json", logLevel: "info", logw: &logs, stdout: io.Discard}
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	var summaries []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		if rec["msg"] == "stream decompressed" {
+			summaries = append(summaries, rec)
+		}
+	}
+	if len(summaries) != 1 {
+		t.Fatalf("stream decompressed lines = %d, want 1:\n%s", len(summaries), logs.String())
+	}
+	rec := summaries[0]
+	for _, key := range []string{"blocks", "class", "error_bound", "bytes_in", "bytes_out", "workers"} {
+		if _, ok := rec[key]; !ok {
+			t.Errorf("stream decompressed record missing %q: %v", key, rec)
+		}
+	}
+	if rec["blocks"] != 2.0 || rec["class"] != "36x36" || rec["error_bound"] != 1e-10 ||
+		rec["bytes_out"] != float64(len(testData())*8) || rec["workers"] != 1.0 {
+		t.Errorf("stream decompressed record = %v, want 2 blocks of 36x36 at 1e-10, %d bytes out, 1 worker",
+			rec, len(testData())*8)
+	}
+}
+
 func TestStructuredLogOffAndBadFlags(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "in.f64")

@@ -85,7 +85,7 @@ func TestZCheckFlightReplay(t *testing.T) {
 
 	violation := mkArtifact(t.TempDir(), pastri.FlightConfig{ErrorBound: eb},
 		func(col *pastri.Collector) {
-			col.RecordBlockData(pastri.TraceRecord{BytesIn: 32, BytesOut: 8, EBSlack: -2 * eb},
+			col.RecordBlock(pastri.TraceRecord{BytesIn: 32, BytesOut: 8, EBSlack: -2 * eb},
 				[]float64{1, 2, 3, 4}, []float64{1, 2, 3 + 3*eb, 4})
 		})
 	if err := runFlight(violation, 0); err == nil {
@@ -94,7 +94,7 @@ func TestZCheckFlightReplay(t *testing.T) {
 
 	injected := mkArtifact(t.TempDir(), pastri.FlightConfig{ErrorBound: eb, SlackFloor: 1},
 		func(col *pastri.Collector) {
-			col.RecordBlockData(pastri.TraceRecord{BytesIn: 32, BytesOut: 8, EBSlack: eb / 2},
+			col.RecordBlock(pastri.TraceRecord{BytesIn: 32, BytesOut: 8, EBSlack: eb / 2},
 				[]float64{1, 2, 3, 4}, []float64{1, 2, 3, 4})
 		})
 	if err := runFlight(injected, 0); err != nil {

@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("RHF/STO-3G on %s: %d basis functions, %d electrons\n\n",
 		mol.Name, bs.NBF(), mol.NElectrons())
 
-	comp, err := hf.NewCompressedSource(bs, 1e-10)
+	comp, err := hf.NewCompressedSource(bs, 1e-10, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func main() {
 
 	// Production shape: never materialize the n⁴ tensor — stream
 	// compressed shell-quartet blocks into the Fock build directly.
-	store, err := hf.NewBlockedStore(bs, 1e-10)
+	store, err := hf.NewBlockedStore(bs, 1e-10, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,7 +83,6 @@ func All() []*Analyzer {
 		ErrDrop,
 		NoPanic,
 		GoroutineCapture,
-		TelemetryDrop,
 		SlogKey,
 		SpanEnd,
 		SloConst,

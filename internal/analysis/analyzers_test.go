@@ -37,10 +37,6 @@ func TestGoroutineCapture(t *testing.T) {
 	runFixture(t, GoroutineCapture, "goroutinecapture", fixtureModPath+"/internal/fixtures")
 }
 
-func TestTelemetryDrop(t *testing.T) {
-	runFixture(t, TelemetryDrop, "telemetrydrop", fixtureModPath+"/internal/fixtures")
-}
-
 func TestSlogKey(t *testing.T) {
 	runFixture(t, SlogKey, "slogkey", fixtureModPath+"/internal/fixtures")
 }

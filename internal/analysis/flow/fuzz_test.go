@@ -17,6 +17,8 @@ import (
 // both Succs and Preds). The corpus is seeded with every Go file in
 // the module, so every function the repo actually contains — including
 // the hot kernels with their label/goto/defer shapes — is a seed.
+// Seeds are named by walk position (seed#N), so adding or deleting a
+// Go file shifts the names after it.
 func FuzzCFGBuild(f *testing.F) {
 	root := moduleRoot(f)
 	if root != "" {
@@ -26,7 +28,9 @@ func FuzzCFGBuild(f *testing.F) {
 			}
 			name := d.Name()
 			if d.IsDir() {
-				if name == ".git" || strings.HasPrefix(name, "_") {
+				// Dot-directories (.git, .bench_build, ...) and _-prefixed
+				// ones hold no committed module source.
+				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
 				}
 				return nil

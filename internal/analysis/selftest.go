@@ -32,7 +32,6 @@ func Selftest(modRoot string) ([]Finding, error) {
 		{"nopanic/lib", fixtureMod + "/internal/fixtures", []string{"nopanic"}},
 		{"nopanic/cmdpkg", fixtureMod + "/cmd/tool", []string{"nopanic"}},
 		{"goroutinecapture", fixtureMod + "/internal/fixtures", []string{"goroutinecapture"}},
-		{"telemetrydrop", fixtureMod + "/internal/fixtures", []string{"telemetrydrop"}},
 		{"slogkey", fixtureMod + "/internal/fixtures", []string{"slogkey"}},
 		{"spanend", fixtureMod + "/internal/fixtures", []string{"spanend"}},
 		{"sloconst", fixtureMod + "/internal/fixtures", []string{"sloconst"}},

@@ -5,19 +5,24 @@ import (
 	"go/types"
 )
 
-// SpanEnd flags trace spans whose End is not guaranteed to run on
-// every exit path. Span.StartChild (internal/telemetry/trace) hands
-// back a child span that must be ended exactly once; a span that is
-// never ended is exported as "unfinished" with zero duration, and a
-// span ended only on the happy path lies about latency in exactly the
-// failing requests where traces are most wanted.
+// SpanEnd flags trace spans and pipeline stage timers whose End is not
+// guaranteed to run on every exit path. Span.StartChild
+// (internal/telemetry/trace) hands back a child span that must be ended
+// exactly once; a span that is never ended is exported as "unfinished"
+// with zero duration, and a span ended only on the happy path lies
+// about latency in exactly the failing requests where traces are most
+// wanted. Observer.Stage (internal/telemetry) hands back a StageTimer
+// whose End records the stage interval in both the collector and the
+// request trace; one whose End is skipped loses the interval in both.
 //
 // Flagged shapes, matched structurally by name so fixtures and future
-// tracer types are covered without importing the trace package: a
-// method named StartChild on a type named Span returning a type named
-// Span that has an End method.
+// tracer types are covered without importing the telemetry packages:
+// a method named StartChild on a type named Span returning a type
+// named Span, or a method named Stage on a type named Observer
+// returning a type named StageTimer, where the result has an End
+// method.
 //
-//   - the span dropped outright (bare call, or assigned to _);
+//   - the span or timer dropped outright (bare call, or assigned to _);
 //   - chained sp.StartChild(...).End() in one statement — the span
 //     brackets nothing;
 //   - v := sp.StartChild(...) where the enclosing function neither
@@ -26,13 +31,14 @@ import (
 //     every return between the two must be preceded by a v.End() in
 //     its innermost block.
 //
-// A span that escapes — passed to another function, returned, stored
-// in a struct or field — is not flagged; ownership moved with it.
-// Intentional exceptions (e.g. a span re-created per loop iteration
-// and ended at the top of the next) are annotated //lint:spanend-ok.
+// A span or timer that escapes — passed to another function, returned,
+// stored in a struct or field — is not flagged; ownership moved with
+// it. Intentional exceptions (e.g. a timer re-created per loop
+// iteration and ended at the top of the next) are annotated
+// //lint:spanend-ok.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
-	Doc:  "flag trace spans whose End is skipped on some exit path",
+	Doc:  "flag trace spans and stage timers whose End is skipped on some exit path",
 	Run:  runSpanEnd,
 }
 
@@ -45,14 +51,13 @@ func runSpanEnd(p *Pass) {
 				if !ok {
 					return true
 				}
-				if p.isStartChildCall(call) {
-					p.Reportf(call.Pos(),
-						"span is dropped; its End never runs, so it is exported as an unfinished span")
+				if kind := p.startedKind(call); kind != "" {
+					p.Reportf(call.Pos(), "%s is dropped; its End never runs, so %s", kind, lostIfUnended[kind])
 					return true
 				}
-				if p.isSpanEndChain(call) {
+				if kind := p.endChainKind(call); kind != "" {
 					p.Reportf(call.Pos(),
-						"span is started and ended in the same statement; it brackets nothing — bind it and End after the work")
+						"%s is started and ended in the same statement; it brackets nothing — bind it and End after the work", kind)
 				}
 			case *ast.AssignStmt:
 				if len(n.Lhs) != len(n.Rhs) {
@@ -60,7 +65,11 @@ func runSpanEnd(p *Pass) {
 				}
 				for i, rhs := range n.Rhs {
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok || !p.isStartChildCall(call) {
+					if !ok {
+						continue
+					}
+					kind := p.startedKind(call)
+					if kind == "" {
 						continue
 					}
 					id, ok := n.Lhs[i].(*ast.Ident)
@@ -68,8 +77,7 @@ func runSpanEnd(p *Pass) {
 						continue // stored into a field/element: escapes
 					}
 					if id.Name == "_" {
-						p.Reportf(call.Pos(),
-							"span is discarded with _; its End never runs, so it is exported as an unfinished span")
+						p.Reportf(call.Pos(), "%s is discarded with _; its End never runs, so %s", kind, lostIfUnended[kind])
 						continue
 					}
 					v := p.definedOrUsedVar(id)
@@ -80,7 +88,7 @@ func runSpanEnd(p *Pass) {
 					if p.spanEndDeferred(body, v) || p.spanEscapes(body, v) {
 						continue
 					}
-					p.checkStraightLineEnd(stack, n, v)
+					p.checkStraightLineEnd(stack, n, v, kind)
 				}
 			}
 			return true
@@ -88,10 +96,17 @@ func runSpanEnd(p *Pass) {
 	}
 }
 
+// lostIfUnended says, per kind, what an End that never runs costs.
+var lostIfUnended = map[string]string{
+	"span":        "it is exported as an unfinished span",
+	"stage timer": "the stage interval is never recorded",
+}
+
 // checkStraightLineEnd enforces the non-deferred discipline for a span
-// defined by assign: a plain v.End() later in the same statement list,
-// with every return in between ended in its own innermost block.
-func (p *Pass) checkStraightLineEnd(stack []ast.Node, assign *ast.AssignStmt, v *types.Var) {
+// or timer (kind) defined by assign: a plain v.End() later in the same
+// statement list, with every return in between ended in its own
+// innermost block.
+func (p *Pass) checkStraightLineEnd(stack []ast.Node, assign *ast.AssignStmt, v *types.Var, kind string) {
 	var list []ast.Stmt
 	if len(stack) > 0 {
 		list = stmtList(stack[len(stack)-1])
@@ -107,7 +122,7 @@ func (p *Pass) checkStraightLineEnd(stack []ast.Node, assign *ast.AssignStmt, v 
 		// Defined somewhere without a statement list (if-init, etc.):
 		// too exotic for straight-line proof — demand a defer.
 		p.Reportf(assign.Pos(),
-			"span %q needs defer %s.End(); its definition site has no straight-line End position", v.Name(), v.Name())
+			"%s %q needs defer %s.End(); its definition site has no straight-line End position", kind, v.Name(), v.Name())
 		return
 	}
 	endIdx := -1
@@ -119,12 +134,12 @@ func (p *Pass) checkStraightLineEnd(stack []ast.Node, assign *ast.AssignStmt, v 
 	}
 	if endIdx < 0 {
 		p.Reportf(assign.Pos(),
-			"span %q is never ended on this path; defer %s.End() or end it before every exit (or annotate //lint:spanend-ok)",
-			v.Name(), v.Name())
+			"%s %q is never ended on this path; defer %s.End() or end it before every exit (or annotate //lint:spanend-ok)",
+			kind, v.Name(), v.Name())
 		return
 	}
 	for j := defIdx + 1; j < endIdx; j++ {
-		p.checkReturnsEnd(list[j], v)
+		p.checkReturnsEnd(list[j], v, kind)
 	}
 }
 
@@ -132,7 +147,7 @@ func (p *Pass) checkStraightLineEnd(stack []ast.Node, assign *ast.AssignStmt, v 
 // preceded by a plain v.End() in its innermost statement list. Returns
 // inside function literals belong to a different function and are
 // skipped.
-func (p *Pass) checkReturnsEnd(stmt ast.Stmt, v *types.Var) {
+func (p *Pass) checkReturnsEnd(stmt ast.Stmt, v *types.Var, kind string) {
 	walkStack(stmt, func(stack []ast.Node, n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -157,8 +172,8 @@ func (p *Pass) checkReturnsEnd(stmt ast.Stmt, v *types.Var) {
 			}
 			if !ended {
 				p.Reportf(ret.Pos(),
-					"return without ending span %q; call %s.End() before this return or defer it",
-					v.Name(), v.Name())
+					"return without ending %s %q; call %s.End() before this return or defer it",
+					kind, v.Name(), v.Name())
 			}
 			return true // only the innermost statement list counts
 		}
@@ -189,42 +204,48 @@ func (p *Pass) isPlainEndStmt(s ast.Stmt, v *types.Var) bool {
 	return ok && p.isEndCallOn(call, v)
 }
 
-// isStartChildCall reports whether call invokes a method StartChild on
-// a type named Span returning a single value of a type named Span that
-// has an End method. StartRequest roots are excluded: they are ended
-// by the tracer's FinishRequest, not by End.
-func (p *Pass) isStartChildCall(call *ast.CallExpr) bool {
+// startedKind reports what call starts: "span" for a method StartChild
+// on a type named Span returning a type named Span, "stage timer" for a
+// method Stage on a type named Observer returning a type named
+// StageTimer — in both cases a single result with an End method — and
+// "" for anything else. StartRequest roots are excluded: they are
+// ended by the tracer's FinishRequest, not by End.
+func (p *Pass) startedKind(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "StartChild" {
-		return false
+	if !ok || sel.Sel.Name != "StartChild" && sel.Sel.Name != "Stage" {
+		return ""
 	}
 	s, ok := p.TypesInfo.Selections[sel]
 	if !ok {
-		return false
+		return ""
 	}
-	f, ok := s.Obj().(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
+	sig, ok := s.Obj().Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || sig.Results().Len() != 1 {
-		return false
+		return ""
 	}
-	if !namedTypeIs(sig.Recv().Type(), "Span") {
-		return false
+	recv, res := sig.Recv().Type(), sig.Results().At(0).Type()
+	switch {
+	case !hasNiladicMethod(res, "End"):
+	case sel.Sel.Name == "StartChild" && namedTypeIs(recv, "Span") && namedTypeIs(res, "Span"):
+		return "span"
+	case sel.Sel.Name == "Stage" && namedTypeIs(recv, "Observer") && namedTypeIs(res, "StageTimer"):
+		return "stage timer"
 	}
-	res := sig.Results().At(0).Type()
-	return namedTypeIs(res, "Span") && hasNiladicMethod(res, "End")
+	return ""
 }
 
-// isSpanEndChain reports whether call is `<StartChild call>.End()`.
-func (p *Pass) isSpanEndChain(call *ast.CallExpr) bool {
+// endChainKind reports what `<start call>.End()` starts and ends in one
+// statement ("" if call is not such a chain).
+func (p *Pass) endChainKind(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "End" {
-		return false
+		return ""
 	}
 	inner, ok := ast.Unparen(sel.X).(*ast.CallExpr)
-	return ok && p.isStartChildCall(inner)
+	if !ok {
+		return ""
+	}
+	return p.startedKind(inner)
 }
 
 // spanEndDeferred reports whether body defers v.End(), either directly
@@ -318,4 +339,40 @@ func hasNiladicMethod(t types.Type, name string) bool {
 	}
 	sig := f.Type().(*types.Signature)
 	return sig.Params().Len() == 0
+}
+
+// definedOrUsedVar resolves id whether it is a := definition or an
+// assignment to an existing variable.
+func (p *Pass) definedOrUsedVar(id *ast.Ident) *types.Var {
+	if v, ok := p.TypesInfo.Defs[id].(*types.Var); ok {
+		return v
+	}
+	if v, ok := p.TypesInfo.Uses[id].(*types.Var); ok {
+		return v
+	}
+	return nil
+}
+
+// enclosingFuncBody returns the body of the innermost enclosing
+// function declaration or literal on the ancestor stack.
+func enclosingFuncBody(stack []ast.Node) ast.Node {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch fn := stack[i].(type) {
+		case *ast.FuncDecl:
+			return fn.Body
+		case *ast.FuncLit:
+			return fn.Body
+		}
+	}
+	return nil
+}
+
+// namedTypeIs reports whether t (possibly behind a pointer) is a
+// defined type with the given name.
+func namedTypeIs(t types.Type, name string) bool {
+	if pt, ok := t.(*types.Pointer); ok {
+		t = pt.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == name
 }

@@ -135,3 +135,55 @@ func loopRecreate(sp *Span) {
 	}
 	c.End()
 }
+
+// Stage timers: a stand-in Observer whose Stage hands back a
+// StageTimer with End, the shape of telemetry.Observer.Stage.
+
+type Observer struct{ on bool }
+
+type StageTimer struct{ on bool }
+
+func (o *Observer) Stage(s int) StageTimer { return StageTimer{on: o.on} }
+
+func (t StageTimer) End() {}
+
+func droppedTimer(o *Observer) {
+	o.Stage(0) // want "stage timer is dropped"
+}
+
+func discardedTimer(o *Observer) {
+	_ = o.Stage(0) // want "stage timer is discarded with _"
+}
+
+func timerEarlyReturn(o *Observer) error {
+	qt := o.Stage(1)
+	if err := work(); err != nil {
+		return err // want "return without ending stage timer \"qt\""
+	}
+	qt.End()
+	return nil
+}
+
+func timerDeferred(o *Observer) error {
+	defer o.Stage(0).End()
+	return work()
+}
+
+func timerEndedOnEveryPath(o *Observer) error {
+	qt := o.Stage(1)
+	if err := work(); err != nil {
+		qt.End()
+		return err
+	}
+	qt.End()
+	return nil
+}
+
+func timerLoopRecreate(o *Observer, results chan int) {
+	wait := o.Stage(4)
+	for range results {
+		wait.End()
+		wait = o.Stage(4) //lint:spanend-ok ended on the next receive or after the loop
+	}
+	wait.End()
+}

@@ -113,17 +113,14 @@ func blockBytes(data []float64) int64 { return int64(len(data)) * 8 }
 // result. A fill error is returned to the leader and every waiter, and
 // nothing is cached. The returned slice is shared — callers must treat
 // it as read-only.
-func (c *Cache) GetOrFill(k Key, fill func() ([]float64, error)) ([]float64, error) {
-	return c.GetOrFillTraced(k, nil, func(*trace.Span) ([]float64, error) { return fill() })
-}
-
-// GetOrFillTraced is GetOrFill with request tracing: the lookup
-// outcome (hit, dedup_wait or miss) is annotated onto sp, waiters
-// record a cache.dedup_wait child span covering the block on the
-// leader, and the leader's fill runs under a cache.fill child span
-// which is passed to fill so the store can attach its own children.
-// A nil sp (or a non-recording one) disables all of it.
-func (c *Cache) GetOrFillTraced(k Key, sp *trace.Span, fill func(*trace.Span) ([]float64, error)) ([]float64, error) {
+//
+// The lookup is traced under sp: the outcome (hit, dedup_wait or miss)
+// is annotated onto it, waiters record a cache.dedup_wait child span
+// covering the block on the leader, and the leader's fill runs under a
+// cache.fill child span which is passed to fill so the store can
+// attach its own children. A nil sp (or a non-recording one) disables
+// all of it.
+func (c *Cache) GetOrFill(k Key, sp *trace.Span, fill func(*trace.Span) ([]float64, error)) ([]float64, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(e.elem)

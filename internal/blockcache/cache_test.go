@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/telemetry/trace"
 )
 
 // blk returns a deterministic block of n float64s keyed by k, so tests
@@ -25,8 +27,8 @@ func blk(k Key, n int) []float64 {
 
 func key(tenant string, b int) Key { return Key{Tenant: tenant, Stream: "s", Block: b} }
 
-func fillOK(k Key, n int) func() ([]float64, error) {
-	return func() ([]float64, error) { return blk(k, n), nil }
+func fillOK(k Key, n int) func(*trace.Span) ([]float64, error) {
+	return func(*trace.Span) ([]float64, error) { return blk(k, n), nil }
 }
 
 // Eviction must be strict LRU order, with Get/GetOrFill hits promoting
@@ -35,7 +37,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	// Each block is 10 floats = 80 bytes; cap fits exactly 3 blocks.
 	c := New(240, nil)
 	for b := 0; b < 3; b++ {
-		if _, err := c.GetOrFill(key("t", b), fillOK(key("t", b), 10)); err != nil {
+		if _, err := c.GetOrFill(key("t", b), nil, fillOK(key("t", b), 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +62,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	wantKeys(0, 2, 1)
 
 	// Insert block 3: block 1 (now coldest) must be the one evicted.
-	if _, err := c.GetOrFill(key("t", 3), fillOK(key("t", 3), 10)); err != nil {
+	if _, err := c.GetOrFill(key("t", 3), nil, fillOK(key("t", 3), 10)); err != nil {
 		t.Fatal(err)
 	}
 	wantKeys(3, 0, 2)
@@ -82,12 +84,12 @@ func TestCachePerTenantCap(t *testing.T) {
 	// Global cap is generous; tenant "small" may hold only 2 blocks.
 	c := New(1<<20, map[string]int64{"small": 160})
 	for b := 0; b < 3; b++ {
-		if _, err := c.GetOrFill(key("big", b), fillOK(key("big", b), 10)); err != nil {
+		if _, err := c.GetOrFill(key("big", b), nil, fillOK(key("big", b), 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for b := 0; b < 3; b++ {
-		if _, err := c.GetOrFill(key("small", b), fillOK(key("small", b), 10)); err != nil {
+		if _, err := c.GetOrFill(key("small", b), nil, fillOK(key("small", b), 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +110,7 @@ func TestCachePerTenantCap(t *testing.T) {
 	}
 	// A single block larger than the tenant cap is served but not cached.
 	huge := Key{Tenant: "small", Stream: "s", Block: 99}
-	if _, err := c.GetOrFill(huge, fillOK(huge, 100)); err != nil {
+	if _, err := c.GetOrFill(huge, nil, fillOK(huge, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(huge); ok {
@@ -122,13 +124,13 @@ func TestCacheFillError(t *testing.T) {
 	c := New(1<<20, nil)
 	boom := errors.New("disk on fire")
 	k := key("t", 0)
-	if _, err := c.GetOrFill(k, func() ([]float64, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.GetOrFill(k, nil, func(*trace.Span) ([]float64, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want fill error", err)
 	}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("failed fill was cached")
 	}
-	if _, err := c.GetOrFill(k, fillOK(k, 10)); err != nil {
+	if _, err := c.GetOrFill(k, nil, fillOK(k, 10)); err != nil {
 		t.Fatalf("retry after failed fill: %v", err)
 	}
 	st := c.Stats()
@@ -143,7 +145,7 @@ func TestCacheInvalidateStream(t *testing.T) {
 	for _, stream := range []string{"a", "b"} {
 		for b := 0; b < 4; b++ {
 			k := Key{Tenant: "t", Stream: stream, Block: b}
-			if _, err := c.GetOrFill(k, fillOK(k, 10)); err != nil {
+			if _, err := c.GetOrFill(k, nil, fillOK(k, 10)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,7 +176,7 @@ func TestCacheInvalidateDetachesRunningFill(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	oldDone := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrFill(k, func() ([]float64, error) {
+		_, err := c.GetOrFill(k, nil, func(*trace.Span) ([]float64, error) {
 			close(started)
 			<-release
 			return []float64{1}, nil // the deleted stream's block
@@ -190,7 +192,7 @@ func TestCacheInvalidateDetachesRunningFill(t *testing.T) {
 	}
 	newDone := make(chan result, 1)
 	go func() {
-		data, err := c.GetOrFill(k, func() ([]float64, error) { return []float64{2}, nil })
+		data, err := c.GetOrFill(k, nil, func(*trace.Span) ([]float64, error) { return []float64{2}, nil })
 		newDone <- result{data, err}
 	}()
 	// Wait until the new reader has either joined a flight or started
@@ -220,7 +222,7 @@ func TestCacheInvalidateDetachesRunningFill(t *testing.T) {
 func TestCacheInvalidateUnderConcurrentFills(t *testing.T) {
 	c := New(1<<20, nil)
 	var version atomic.Int64
-	fill := func() ([]float64, error) {
+	fill := func(*trace.Span) ([]float64, error) {
 		v := version.Load()
 		runtime.Gosched() // widen the window in which the fill can be detached
 		return []float64{float64(v)}, nil
@@ -237,7 +239,7 @@ func TestCacheInvalidateUnderConcurrentFills(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.GetOrFill(key("t", b%4), fill); err != nil {
+				if _, err := c.GetOrFill(key("t", b%4), nil, fill); err != nil {
 					t.Error(err)
 					return
 				}
@@ -252,7 +254,7 @@ func TestCacheInvalidateUnderConcurrentFills(t *testing.T) {
 		version.Store(v)
 		c.InvalidateStream("t", "s")
 		for b := 0; b < 4; b++ {
-			data, err := c.GetOrFill(key("t", b), fill)
+			data, err := c.GetOrFill(key("t", b), nil, fill)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +270,7 @@ func TestCacheInvalidateUnderConcurrentFills(t *testing.T) {
 func TestCacheZeroCapacity(t *testing.T) {
 	c := New(0, nil)
 	k := key("t", 0)
-	if _, err := c.GetOrFill(k, fillOK(k, 10)); err != nil {
+	if _, err := c.GetOrFill(k, nil, fillOK(k, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -300,7 +302,7 @@ func TestCacheConcurrentHammerExactlyOnceFill(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				b := (g + r) % nkeys
 				k := key("t", b)
-				got, err := c.GetOrFill(k, func() ([]float64, error) {
+				got, err := c.GetOrFill(k, nil, func(*trace.Span) ([]float64, error) {
 					fillCalls[b].Add(1)
 					return blk(k, blockLen), nil
 				})
@@ -360,7 +362,7 @@ func TestCacheConcurrentFillErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.GetOrFill(k, func() ([]float64, error) {
+			_, errs[i] = c.GetOrFill(k, nil, func(*trace.Span) ([]float64, error) {
 				calls.Add(1)
 				<-release
 				return nil, boom
@@ -385,7 +387,7 @@ func TestCacheConcurrentFillErrorShared(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("failing fill ran %d times, want 1", n)
 	}
-	if _, err := c.GetOrFill(k, fillOK(k, 4)); err != nil {
+	if _, err := c.GetOrFill(k, nil, fillOK(k, 4)); err != nil {
 		t.Fatalf("fresh fill after shared failure: %v", err)
 	}
 }

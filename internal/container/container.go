@@ -21,7 +21,6 @@
 package container
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
@@ -79,7 +78,7 @@ func (w *Writer) WriteBlock(g Geometry, block []float64) error {
 	if len(block) != g.BlockSize() {
 		return fmt.Errorf("container: block has %d values, geometry wants %d", len(block), g.BlockSize())
 	}
-	tSplit := w.cfgBase.Collector.StageStart()
+	split := w.cfgBase.Stage(telemetry.StageBlockSplit)
 	idx, ok := w.sections[g]
 	if !ok {
 		idx = len(w.geos)
@@ -89,7 +88,7 @@ func (w *Writer) WriteBlock(g Geometry, block []float64) error {
 	}
 	w.raw[idx] = append(w.raw[idx], block...)
 	w.order = append(w.order, uint32(idx))
-	w.cfgBase.Collector.StageEnd(telemetry.StageBlockSplit, tSplit)
+	split.End()
 	return nil
 }
 
@@ -108,8 +107,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := w.cfgBase.Collector
-	defer col.Timer(telemetry.StageWrite).Stop()
+	defer w.cfgBase.Stage(telemetry.StageWrite).End()
 	var out []byte
 	out = append(out, magic[:]...)
 	out = append(out, version)
@@ -134,7 +132,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 	// Section streams already accounted their own header/varint framing
 	// via core.Compress; the container adds its magic, counts,
 	// directory and section-length varints on top.
-	col.AddFramingBytes(len(out) - streamBytes)
+	w.cfgBase.Collector.AddFramingBytes(len(out) - streamBytes)
 	return out, nil
 }
 
@@ -210,15 +208,14 @@ func (w *Writer) compressSections() ([][]byte, error) {
 // slog handlers are safe for concurrent use, so the parallel path logs
 // without extra locking.
 func (w *Writer) logSection(i int, g Geometry, streamBytes int) {
-	l := w.cfgBase.Logger
-	if l == nil || !l.Enabled(context.Background(), slog.LevelInfo) {
+	if w.cfgBase.Logger == nil {
 		return
 	}
 	blocks := 0
 	if bs := g.BlockSize(); bs > 0 {
 		blocks = len(w.raw[i]) / bs
 	}
-	l.LogAttrs(context.Background(), slog.LevelInfo, "section compressed",
+	w.cfgBase.Info("section compressed",
 		slog.Int("section", i),
 		slog.String("class", fmt.Sprintf("%dx%d", g.NumSB, g.SBSize)),
 		slog.Int("blocks", blocks),

@@ -2,8 +2,12 @@ package container
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -200,5 +204,80 @@ func TestParallelBytesDeterministic(t *testing.T) {
 	}
 	if r.Blocks() != 60 {
 		t.Fatalf("Blocks() = %d, want 60", r.Blocks())
+	}
+}
+
+// TestSectionLogRecords: Bytes logs one "section compressed" Info
+// record per section — index, quartet class, block count and raw and
+// compressed byte counts — whether the sections are compressed one
+// after another or concurrently.
+func TestSectionLogRecords(t *testing.T) {
+	geos := []Geometry{{36, 36}, {60, 60}, {60, 100}}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			var logs bytes.Buffer
+			base := core.Defaults(1, 1, 1e-10)
+			base.Workers = workers
+			base.Logger = slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo}))
+			w, err := NewWriter(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			blocks := make([]int, len(geos))
+			for i := 0; i < 9; i++ {
+				s := i % len(geos)
+				if err := w.WriteBlock(geos[s], patterned(rng, geos[s], 1e-6)); err != nil {
+					t.Fatal(err)
+				}
+				blocks[s]++
+			}
+			buf, err := w.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			seen := make(map[int]bool)
+			streamBytes := 0
+			for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+				var rec struct {
+					Msg      string `json:"msg"`
+					Section  *int   `json:"section"`
+					Class    string `json:"class"`
+					Blocks   int    `json:"blocks"`
+					BytesIn  int    `json:"bytes_in"`
+					BytesOut int    `json:"bytes_out"`
+				}
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("log line is not JSON: %v\n%s", err, line)
+				}
+				if rec.Msg != "section compressed" {
+					continue
+				}
+				if rec.Section == nil || *rec.Section < 0 || *rec.Section >= len(geos) || seen[*rec.Section] {
+					t.Fatalf("bad or repeated section in %s", line)
+				}
+				s := *rec.Section
+				seen[s] = true
+				g := geos[s]
+				if want := fmt.Sprintf("%dx%d", g.NumSB, g.SBSize); rec.Class != want {
+					t.Errorf("section %d class %q, want %q", s, rec.Class, want)
+				}
+				if rec.Blocks != blocks[s] || rec.BytesIn != blocks[s]*g.BlockSize()*8 {
+					t.Errorf("section %d: %d blocks, %d bytes in; want %d, %d",
+						s, rec.Blocks, rec.BytesIn, blocks[s], blocks[s]*g.BlockSize()*8)
+				}
+				if rec.BytesOut <= 0 {
+					t.Errorf("section %d: bytes_out %d", s, rec.BytesOut)
+				}
+				streamBytes += rec.BytesOut
+			}
+			if len(seen) != len(geos) {
+				t.Fatalf("%d section records, want %d:\n%s", len(seen), len(geos), logs.String())
+			}
+			if streamBytes >= len(buf) {
+				t.Errorf("section streams total %d bytes, container only %d", streamBytes, len(buf))
+			}
+		})
 	}
 }

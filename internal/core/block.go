@@ -11,7 +11,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/quant"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // Block bitstream layout (all fields bit-packed, MSB first):
@@ -38,9 +37,7 @@ const (
 // worker.
 type BlockEncoder struct {
 	cfg Config
-	col *telemetry.Collector // from cfg; nil ⇒ no telemetry
-	sp  *trace.Span          // from cfg; nil ⇒ no tracing
-	// debugLog caches Logger.Enabled(Debug) at reset time so the
+	// debugLog caches the observer's DebugEnabled at reset time so the
 	// per-block gate is one boolean test, not an interface call.
 	debugLog bool
 	// scratch arenas, sized once in reset and reused for every block
@@ -71,9 +68,7 @@ func NewBlockEncoder(cfg Config) (*BlockEncoder, error) {
 // across blocks and calls.
 func (e *BlockEncoder) reset(cfg Config) {
 	e.cfg = cfg
-	e.col = cfg.Collector
-	e.sp = cfg.Trace
-	e.debugLog = logEnabled(cfg.Logger, slog.LevelDebug)
+	e.debugLog = cfg.DebugEnabled()
 	e.stats = nil
 	e.pq = growI64(e.pq, cfg.SBSize)
 	e.sq = growI64(e.sq, cfg.NumSB)
@@ -150,7 +145,7 @@ func (e *BlockEncoder) recordTrace(block []float64, pb, ecbMax uint, payloadBits
 			maxExp = exp
 		}
 	}
-	wantData := e.col.FlightWantsData()
+	wantData := cfg.Collector.FlightWantsData()
 	var recon []float64
 	if wantData {
 		// Grown only on the flight-recorder path so the default
@@ -183,7 +178,7 @@ func (e *BlockEncoder) recordTrace(block []float64, pb, ecbMax uint, payloadBits
 			}
 		}
 	}
-	id := e.col.RecordBlockData(telemetry.TraceRecord{
+	id := cfg.Collector.RecordBlock(telemetry.TraceRecord{
 		SubBlocks:  cfg.NumSB,
 		ExpSpan:    maxExp - minExp,
 		Encoding:   kind,
@@ -194,7 +189,7 @@ func (e *BlockEncoder) recordTrace(block []float64, pb, ecbMax uint, payloadBits
 		ECbMax:     int(ecbMax),
 	}, block, recon)
 	if e.debugLog {
-		e.cfg.Logger.LogAttrs(context.Background(), slog.LevelDebug, "block compressed",
+		cfg.Logger.LogAttrs(context.Background(), slog.LevelDebug, "block compressed",
 			slog.Uint64("block", id),
 			slog.String("class", quartetClass(cfg.NumSB, cfg.SBSize)),
 			slog.String("encoding", kind.String()),
@@ -210,7 +205,6 @@ func (e *BlockEncoder) recordTrace(block []float64, pb, ecbMax uint, payloadBits
 // concurrent use.
 type BlockDecoder struct {
 	cfg  Config
-	col  *telemetry.Collector // from cfg; nil ⇒ no telemetry
 	pq   []int64
 	sq   []int64
 	ecq  []int64
@@ -231,7 +225,6 @@ func NewBlockDecoder(cfg Config) (*BlockDecoder, error) {
 // sizing the scratch arenas and reusing backing arrays when possible.
 func (d *BlockDecoder) reset(cfg Config) {
 	d.cfg = cfg
-	d.col = cfg.Collector
 	d.pq = growI64(d.pq, cfg.SBSize)
 	d.sq = growI64(d.sq, cfg.NumSB)
 	d.ecq = growI64(d.ecq, cfg.BlockSize())
@@ -247,8 +240,7 @@ func (d *BlockDecoder) DecodeBlock(r *bitio.Reader, dst []float64) error {
 	if len(dst) != cfg.BlockSize() {
 		return fmt.Errorf("core: dst has %d points, config wants %d", len(dst), cfg.BlockSize())
 	}
-	tDec := d.col.StageStart()
-	defer d.col.StageEnd(telemetry.StageDecode, tDec)
+	defer d.cfg.Stage(telemetry.StageDecode).End()
 	pbRaw, err := r.ReadBits(pbFieldBits)
 	if err != nil {
 		return err

@@ -17,15 +17,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"log/slog"
 	"math"
 
 	"repro/internal/encoding"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // Config controls compression. The zero value is not valid; use Defaults
@@ -51,35 +48,13 @@ type Config struct {
 	// Workers caps parallelism for stream compression; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Collector, when non-nil, receives per-stage timings, byte
-	// accounting and per-block trace records (internal/telemetry). It
-	// is runtime-only state — never serialized into streams — and may
-	// be shared across workers and sections. The nil default makes
-	// every instrumentation point a single untaken branch.
-	Collector *telemetry.Collector
-	// Logger, when non-nil, receives structured pipeline logs: run
-	// summaries at Info, per-block records (block id, quartet class,
-	// eb slack, encoding) at Debug. Like Collector it is runtime-only
-	// state, never serialized into streams, and the nil default costs
-	// one untaken branch per log site. Per-block Debug logging requires
-	// a handler whose level actually enables Debug — the encoder checks
-	// Enabled once per block, not per attribute.
-	Logger *slog.Logger
-	// Trace, when non-nil, is the parent span under which the pipeline
-	// records per-stage child spans (block_split, pattern_fit, quantize,
-	// encode, sequencer_wait, write) for the request that owns this
-	// compression. Like Collector and Logger it is runtime-only state,
-	// never serialized into streams; the nil default (or a non-recording
-	// span) costs one untaken branch per instrumentation point. It may
-	// be shared across workers — spans are safe for concurrent children.
-	Trace *trace.Span
-	// ProfileCtx, when non-nil, is the context whose pprof goroutine
-	// labels (pastrid sets tenant and route) the pipeline's goroutines
-	// run under, with a "stage" label added per pipeline role — so CPU
-	// profiles attribute samples to tenant × route × stage. Runtime-only
-	// state like the fields above; the nil default runs every goroutine
-	// unlabeled with zero overhead.
-	ProfileCtx context.Context
+	// Observer carries the runtime-only observability side channels —
+	// Collector, Logger, Trace and ProfileCtx, promoted from here — and
+	// times every pipeline stage once for both the collector and the
+	// request span (internal/telemetry). It is never serialized into
+	// streams, and the zero value costs one untaken branch per
+	// instrumentation point.
+	telemetry.Observer
 }
 
 // Defaults returns the paper's shipped configuration for a block geometry

@@ -50,16 +50,13 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 		return 0, 0, fmt.Errorf("core: block has %d points, config wants %d", len(block), cfg.BlockSize())
 	}
 	// 1. Pattern analysis (Sec. IV-A), writing into encoder-owned scratch.
-	tFit := e.col.StageStart()
-	spFit := e.sp.StartChild("pattern_fit")
+	fit := e.cfg.Stage(telemetry.StagePatternFit)
 	res, err := e.pat.Analyze(block, cfg.NumSB, cfg.SBSize, cfg.Metric)
-	spFit.End()
-	e.col.StageEnd(telemetry.StagePatternFit, tFit)
+	fit.End()
 	if err != nil {
 		return 0, 0, err
 	}
-	tQuant := e.col.StageStart()
-	spQuant := e.sp.StartChild("quantize")
+	qt := e.cfg.Stage(telemetry.StageQuantize)
 	pat := block[res.PatternIndex*cfg.SBSize : (res.PatternIndex+1)*cfg.SBSize]
 
 	// 2. Quantize the pattern with Pbinsize = 2·EB (Sec. IV-B practical
@@ -69,7 +66,7 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	pExt, _ := quant.MaxAbs(pat)
 	pb = quant.PatternBits(pExt, eb)
 	if pb > 64 {
-		spQuant.End()
+		qt.End()
 		return 0, 0, fmt.Errorf("core: pattern extremum %g needs %d bits at EB %g", pExt, pb, eb)
 	}
 	sb := pb
@@ -161,8 +158,7 @@ func (e *BlockEncoder) analyzeFused(block []float64) (pb, ecbMax uint, err error
 	costs.AddZeros(uint64(cfg.BlockSize() - len(nzIdx)))
 	e.costs = costs
 	e.nzIdx, e.nzQ = nzIdx, nzQ
-	spQuant.End()
-	e.col.StageEnd(telemetry.StageQuantize, tQuant)
+	qt.End()
 	if ecbMax > 63 {
 		return 0, 0, fmt.Errorf("core: ECQ needs %d bits; data range too wide for EB %g", ecbMax, eb)
 	}
@@ -180,8 +176,7 @@ func (e *BlockEncoder) EncodeBlock(w *bitio.Writer, block []float64) error {
 	if err != nil {
 		return err
 	}
-	tEnc := e.col.StageStart()
-	spEnc := e.sp.StartChild("encode")
+	enc := e.cfg.Stage(telemetry.StageEncode)
 
 	// 4. Header fields.
 	w.WriteBits(uint64(pb-1), pbFieldBits)
@@ -212,8 +207,7 @@ func (e *BlockEncoder) EncodeBlock(w *bitio.Writer, block []float64) error {
 		}
 	}
 
-	spEnc.End()
-	e.col.StageEnd(telemetry.StageEncode, tEnc)
+	enc.End()
 
 	if e.stats != nil {
 		e.stats.recordBlock(e.nzQ, cfg.BlockSize(), ecbMax,
@@ -222,7 +216,7 @@ func (e *BlockEncoder) EncodeBlock(w *bitio.Writer, block []float64) error {
 			w.BitLen()-ecqStart, // ECQ bits
 			uint64(pbFieldBits+ecbMaxFieldBits), usedSparse)
 	}
-	if e.col.Enabled() || e.debugLog {
+	if cfg.Collector != nil || e.debugLog {
 		kind := telemetry.EncType0
 		if ecbMax > 1 {
 			if usedSparse {

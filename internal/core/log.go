@@ -1,23 +1,15 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"log/slog"
-)
+import "fmt"
 
-// Structured-logging support. Log sites follow the same zero-cost
-// discipline as telemetry: a nil Config.Logger reduces every site to
-// one untaken branch, and per-block Debug records are gated on
-// Logger.Enabled so a disabled level never pays for attribute
-// construction. Attribute keys are lowercase_snake string constants —
-// the pastrilint slogkey analyzer enforces this repo-wide, so log
-// consumers (and the README's documented fields) cannot drift.
-
-// logEnabled reports whether l would emit at level; nil-safe.
-func logEnabled(l *slog.Logger, level slog.Level) bool {
-	return l != nil && l.Enabled(context.Background(), level)
-}
+// Structured-logging support. Log sites go through Config's Observer
+// and follow the same zero-cost discipline as telemetry: a nil Logger
+// reduces every site to one untaken branch, and per-block Debug
+// records are gated on the Debug level the encoder caches at reset,
+// so a disabled level never pays for attribute construction.
+// Attribute keys are lowercase_snake string constants — the pastrilint
+// slogkey analyzer enforces this repo-wide, so log consumers (and the
+// README's documented fields) cannot drift.
 
 // quartetClass renders a block geometry as the shell-quartet class
 // string used in logs and artifacts, e.g. "36x36" for a (dd|dd) block.

@@ -79,22 +79,20 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 		mu       sync.Mutex
 		firstErr error
 	)
-	tSplit := cfg.Collector.StageStart()
-	spSplit := cfg.Trace.StartChild("block_split")
+	split := cfg.Stage(telemetry.StageBlockSplit)
 	next := make(chan int, nblocks) //lint:hotalloc2-ok one channel per call, not per block
 	for b := 0; b < nblocks; b++ {
 		next <- b
 	}
 	close(next)
-	spSplit.End()
-	cfg.Collector.StageEnd(telemetry.StageBlockSplit, tSplit)
+	split.End()
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		//lint:hotalloc2-ok one worker closure per goroutine at stream start, not per block
 		go func() {
 			defer wg.Done()
 			//lint:hotalloc2-ok one label closure per worker, not per block
-			withStageLabel(cfg.ProfileCtx, profStageEncode, func() {
+			cfg.Do(profStageEncode, func() {
 				enc := getEncoder(cfg)
 				defer putEncoder(enc)
 				var local *Stats
@@ -247,7 +245,7 @@ func (s *ParallelStreamWriter) worker(local *Stats) {
 	defer s.wg.Done()
 	// One label scope per worker lifetime, not per block: CPU samples in
 	// the whole encode loop are attributed to tenant×route×stage=encode.
-	withStageLabel(s.cfg.ProfileCtx, profStageEncode, func() { s.encodeLoop(local) })
+	s.cfg.Do(profStageEncode, func() { s.encodeLoop(local) })
 }
 
 func (s *ParallelStreamWriter) encodeLoop(local *Stats) {
@@ -288,20 +286,17 @@ var errAborted = fmt.Errorf("core: block skipped after earlier error")
 // can't keep the sequencer fed" from "the sink is slow".
 func (s *ParallelStreamWriter) sequencer() {
 	defer close(s.seqDone)
-	withStageLabel(s.cfg.ProfileCtx, profStageSequencer, s.sequence)
+	s.cfg.Do(profStageSequencer, s.sequence)
 }
 
 func (s *ParallelStreamWriter) sequence() {
-	col := s.cfg.Collector
 	pending := make(map[uint64]pswResult) //lint:hotalloc2-ok one map per stream, not per block; sequence runs once per writer
 	var nextSeq uint64
 	var lenBuf [binary.MaxVarintLen64]byte
 	dead := false
-	tWait := col.StageStart()
-	spWait := s.cfg.Trace.StartChild("sequencer_wait") //lint:spanend-ok span is re-created per receive gap; every instance ends on the next receive or after channel close below
+	wait := s.cfg.Stage(telemetry.StageSequencerWait)
 	for res := range s.results {
-		col.StageEnd(telemetry.StageSequencerWait, tWait)
-		spWait.End()
+		wait.End()
 		pending[res.seq] = res
 		for {
 			r, ok := pending[nextSeq]
@@ -317,8 +312,7 @@ func (s *ParallelStreamWriter) sequence() {
 				s.fail(r.err)
 				dead = true
 			default:
-				tWrite := col.StageStart()
-				spWrite := s.cfg.Trace.StartChild("write")
+				wt := s.cfg.Stage(telemetry.StageWrite)
 				n := binary.PutUvarint(lenBuf[:], uint64(len(*r.payload)))
 				if _, err := s.w.Write(lenBuf[:n]); err != nil {
 					s.fail(err)
@@ -327,11 +321,10 @@ func (s *ParallelStreamWriter) sequence() {
 					s.fail(err)
 					dead = true
 				} else {
-					col.StageEnd(telemetry.StageWrite, tWrite)
-					col.AddFramingBytes(n)
+					s.cfg.Collector.AddFramingBytes(n)
 					s.written.Add(1)
 				}
-				spWrite.End()
+				wt.End()
 			}
 			// The payload buffer is recycled whether it was written or
 			// discarded: bufio.Writer has copied what it needs by now.
@@ -339,10 +332,9 @@ func (s *ParallelStreamWriter) sequence() {
 				putPayload(r.payload)
 			}
 		}
-		tWait = col.StageStart()
-		spWait = s.cfg.Trace.StartChild("sequencer_wait") //lint:spanend-ok ended on the next receive or by the final End below
+		wait = s.cfg.Stage(telemetry.StageSequencerWait) //lint:spanend-ok ended on the next receive or by the final End below
 	}
-	spWait.End() // final gap: waiting out the results-channel close
+	wait.End() // final gap: waiting out the results-channel close
 }
 
 // fail records the first error (in block order, since only the
@@ -380,9 +372,7 @@ func (s *ParallelStreamWriter) WriteBlock(block []float64) error {
 	if !s.started {
 		s.start()
 	}
-	col := s.cfg.Collector
-	tSplit := col.StageStart()
-	spSplit := s.cfg.Trace.StartChild("block_split")
+	split := s.cfg.Stage(telemetry.StageBlockSplit)
 	var buf []float64
 	if p, ok := s.blockPool.Get().(*[]float64); ok && cap(*p) >= len(block) {
 		buf = (*p)[:len(block)]
@@ -392,8 +382,7 @@ func (s *ParallelStreamWriter) WriteBlock(block []float64) error {
 	copy(buf, block)
 	s.jobs <- pswJob{seq: s.submitted, data: buf}
 	s.submitted++
-	spSplit.End()
-	col.StageEnd(telemetry.StageBlockSplit, tSplit)
+	split.End()
 	return nil
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // Pools recycling per-worker kernel state across blocks and calls.
@@ -28,10 +30,10 @@ func getEncoder(cfg Config) *BlockEncoder {
 }
 
 // putEncoder returns an encoder to the pool, dropping references the
-// pool must not retain (collector, stats sink, request-scoped span).
+// pool must not retain (the observer with its request-scoped span, the
+// stats sink).
 func putEncoder(e *BlockEncoder) {
-	e.col = nil
-	e.sp = nil
+	e.cfg.Observer = telemetry.Observer{}
 	e.stats = nil
 	encoderPool.Put(e)
 }
@@ -51,7 +53,7 @@ func getDecoder(cfg Config) *BlockDecoder {
 }
 
 func putDecoder(d *BlockDecoder) {
-	d.col = nil
+	d.cfg.Observer = telemetry.Observer{}
 	decoderPool.Put(d)
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"runtime/pprof"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestStageLabelsPropagate proves the worker pool runs under the
@@ -27,8 +29,8 @@ func TestStageLabelsPropagate(t *testing.T) {
 
 	pprof.Do(context.Background(), pprof.Labels("tenant", "acme", "route", "upload"), func(ctx context.Context) {
 		cfg.ProfileCtx = ctx
-		// withStageLabel must add stage without losing the request labels.
-		withStageLabel(cfg.ProfileCtx, profStageEncode, func() {
+		// Observer.Do must add stage without losing the request labels.
+		cfg.Do(profStageEncode, func() {
 			// Inside the labeled region the goroutine's label set is the
 			// context pprof.Do derived; re-derive it via Do to inspect.
 			pprof.Do(ctx, pprof.Labels("stage", profStageEncode), probe)
@@ -59,20 +61,21 @@ func TestStageLabelsPropagate(t *testing.T) {
 	}
 }
 
-// TestWithStageLabelNilCtx pins the disabled path: no context, no
-// pprof machinery, and crucially no allocations — the CLI pipelines
-// rely on the zero-cost default.
+// TestWithStageLabelNilCtx pins the disabled path of Observer.Do: no
+// profile context, no pprof machinery, and crucially no allocations —
+// the CLI pipelines rely on the zero-cost default.
 func TestWithStageLabelNilCtx(t *testing.T) {
+	var obs telemetry.Observer
 	ran := false
-	withStageLabel(nil, profStageSequencer, func() { ran = true })
+	obs.Do(profStageSequencer, func() { ran = true })
 	if !ran {
 		t.Fatal("f not called")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		withStageLabel(nil, profStageEncode, func() {})
+		obs.Do(profStageEncode, func() {})
 	})
 	if allocs != 0 {
-		t.Fatalf("nil-ctx withStageLabel allocates %v/op, want 0", allocs)
+		t.Fatalf("nil-ctx Observer.Do allocates %v/op, want 0", allocs)
 	}
 }
 

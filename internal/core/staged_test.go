@@ -112,16 +112,13 @@ func (e *stagedEncoder) analyze(block []float64) (pb, ecbMax uint, err error) {
 		return 0, 0, fmt.Errorf("core: block has %d points, config wants %d", len(block), cfg.BlockSize())
 	}
 	// 1. Pattern analysis (Sec. IV-A), writing into encoder-owned scratch.
-	tFit := e.col.StageStart()
-	spFit := e.sp.StartChild("pattern_fit")
+	fit := e.cfg.Stage(telemetry.StagePatternFit)
 	res, err := e.pat.Analyze(block, cfg.NumSB, cfg.SBSize, cfg.Metric)
-	spFit.End()
-	e.col.StageEnd(telemetry.StagePatternFit, tFit)
+	fit.End()
 	if err != nil {
 		return 0, 0, err
 	}
-	tQuant := e.col.StageStart()
-	spQuant := e.sp.StartChild("quantize")
+	qt := e.cfg.Stage(telemetry.StageQuantize)
 	pat := block[res.PatternIndex*cfg.SBSize : (res.PatternIndex+1)*cfg.SBSize]
 
 	// 2. Quantize the pattern with Pbinsize = 2·EB (Sec. IV-B practical
@@ -131,7 +128,7 @@ func (e *stagedEncoder) analyze(block []float64) (pb, ecbMax uint, err error) {
 	pExt, _ := quant.MaxAbs(pat)
 	pb = quant.PatternBits(pExt, eb)
 	if pb > 64 {
-		spQuant.End()
+		qt.End()
 		return 0, 0, fmt.Errorf("core: pattern extremum %g needs %d bits at EB %g", pExt, pb, eb)
 	}
 	sb := pb
@@ -146,9 +143,10 @@ func (e *stagedEncoder) analyze(block []float64) (pb, ecbMax uint, err error) {
 	// 3. Error correction against the *reconstructed* scaled pattern, so
 	// the EC term absorbs the quantization error of P and S (eq. (11)).
 	// The reconstructed pattern is hoisted out of the sub-block loop, and
-	// the loop body feeds each quantum to the cost accumulator, whose
-	// Observe returns the bin number — so quantization, ECb_max tracking
-	// and method pricing all ride the same pass over the block.
+	// the loop body feeds each quantum to the cost accumulator — a zero
+	// through AddZeros(1), a nonzero through ObserveNonZero, which
+	// returns the bin number — so quantization, ECb_max tracking and
+	// method pricing all ride the same pass over the block.
 	pHat := e.pHat[:cfg.SBSize]
 	for i := range pHat {
 		pHat[i] = quant.Dequantize(e.pq[i], pBin)
@@ -168,7 +166,7 @@ func (e *stagedEncoder) analyze(block []float64) (pb, ecbMax uint, err error) {
 		zeroCut = 0
 	}
 	ecbMax = 1
-	e.costs.Reset()
+	e.costs = encoding.CostCounts{}
 	for s := 0; s < cfg.NumSB; s++ {
 		sHat := quant.Dequantize(e.sq[s], sBin)
 		base := s * cfg.SBSize
@@ -181,13 +179,14 @@ func (e *stagedEncoder) analyze(block []float64) (pb, ecbMax uint, err error) {
 				q = quant.Quantize(d, ecBin)
 			}
 			out[i] = q
-			if b := e.costs.Observe(q); b > ecbMax {
+			if q == 0 {
+				e.costs.AddZeros(1)
+			} else if b := e.costs.ObserveNonZero(q); b > ecbMax {
 				ecbMax = b
 			}
 		}
 	}
-	spQuant.End()
-	e.col.StageEnd(telemetry.StageQuantize, tQuant)
+	qt.End()
 	if ecbMax > 63 {
 		return 0, 0, fmt.Errorf("core: ECQ needs %d bits; data range too wide for EB %g", ecbMax, eb)
 	}
@@ -203,8 +202,7 @@ func (e *stagedEncoder) encodeBlockStaged(w *bitio.Writer, block []float64) erro
 	if err != nil {
 		return err
 	}
-	tEnc := e.col.StageStart()
-	spEnc := e.sp.StartChild("encode")
+	enc := e.cfg.Stage(telemetry.StageEncode)
 
 	// 4. Emit header fields.
 	w.WriteBits(uint64(pb-1), pbFieldBits)
@@ -242,8 +240,7 @@ func (e *stagedEncoder) encodeBlockStaged(w *bitio.Writer, block []float64) erro
 		}
 	}
 
-	spEnc.End()
-	e.col.StageEnd(telemetry.StageEncode, tEnc)
+	enc.End()
 
 	if e.stats != nil {
 		recordBlockDense(e.stats, e.ecq, ecbMax,

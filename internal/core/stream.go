@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
@@ -57,12 +56,12 @@ func Compress(data []float64, cfg Config, stats *Stats) ([]byte, error) {
 	}
 	out := assembleStream(payloads, cfg)
 	putPayloads(payloads) // contents copied into out; recycle the buffers
-	if logEnabled(cfg.Logger, slog.LevelInfo) {
+	if cfg.Logger != nil {
 		ratio := 0.0
 		if len(out) > 0 {
 			ratio = float64(len(data)*8) / float64(len(out))
 		}
-		cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "stream compressed",
+		cfg.Info("stream compressed",
 			slog.Int("blocks", len(data)/bs),
 			slog.String("class", quartetClass(cfg.NumSB, cfg.SBSize)),
 			slog.Float64("error_bound", cfg.ErrorBound),
@@ -78,8 +77,7 @@ func Compress(data []float64, cfg Config, stats *Stats) ([]byte, error) {
 // reported to the collector so payload + framing equals the stream
 // size exactly.
 func assembleStream(payloads []*[]byte, cfg Config) []byte {
-	col := cfg.Collector
-	defer col.Timer(telemetry.StageWrite).Stop()
+	defer cfg.Stage(telemetry.StageWrite).End()
 	framing := headerSize
 	total := headerSize
 	var lenBuf [binary.MaxVarintLen64]byte
@@ -95,7 +93,7 @@ func assembleStream(payloads []*[]byte, cfg Config) []byte {
 		out = append(out, lenBuf[:n]...)
 		out = append(out, *p...)
 	}
-	col.AddFramingBytes(framing)
+	cfg.Collector.AddFramingBytes(framing)
 	return out
 }
 
@@ -159,27 +157,22 @@ func parseHeaderBytes(comp []byte) (Config, uint64, int, error) {
 // Decompress reconstructs the original data from a compressed stream,
 // fanning blocks out over workers goroutines (0 ⇒ GOMAXPROCS).
 func Decompress(comp []byte, workers int) ([]float64, error) {
-	return DecompressCollect(comp, workers, nil)
+	return DecompressObserved(comp, workers, telemetry.Observer{})
 }
 
-// DecompressCollect is Decompress with a telemetry sink: per-block
-// decode timings and decoded block/byte counts are recorded into col
-// (nil ⇒ no telemetry, identical to Decompress).
-func DecompressCollect(comp []byte, workers int, col *telemetry.Collector) ([]float64, error) {
-	return DecompressLogged(comp, workers, col, nil)
-}
-
-// DecompressLogged is DecompressCollect with a structured logger: a
-// successful run emits one Info summary (blocks, bytes, workers, the
+// DecompressObserved is Decompress under an observer: per-block decode
+// timings and decoded block/byte counts go to obs.Collector, and a
+// successful run logs one Info summary (blocks, bytes, workers, the
 // stream's geometry and error bound). Decompression reads its Config
-// from the stream header, so the logger cannot ride in via Config and
-// is threaded explicitly here.
-func DecompressLogged(comp []byte, workers int, col *telemetry.Collector, logger *slog.Logger) ([]float64, error) {
+// from the stream header, so the observer cannot ride in via Config
+// and is passed explicitly here.
+func DecompressObserved(comp []byte, workers int, obs telemetry.Observer) ([]float64, error) {
 	cfg, nblocks, off, err := ParseHeader(comp)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Collector = col
+	cfg.Observer = obs
+	col := obs.Collector
 	bs := cfg.BlockSize()
 	if nblocks != streamingCount && nblocks > uint64(math.MaxInt64)/uint64(bs) {
 		return nil, fmt.Errorf("core: implausible block count %d", nblocks)
@@ -199,8 +192,8 @@ func DecompressLogged(comp []byte, workers int, col *telemetry.Collector, logger
 		workers = int(nblocks)
 	}
 	logDone := func() {
-		if logEnabled(logger, slog.LevelInfo) {
-			logger.LogAttrs(context.Background(), slog.LevelInfo, "stream decompressed",
+		if obs.Logger != nil {
+			obs.Info("stream decompressed",
 				slog.Uint64("blocks", nblocks),
 				slog.String("class", quartetClass(cfg.NumSB, cfg.SBSize)),
 				slog.Float64("error_bound", cfg.ErrorBound),

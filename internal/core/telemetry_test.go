@@ -79,7 +79,7 @@ func TestTelemetryDecodeCounters(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			col := telemetry.New(0)
-			dec, err := DecompressCollect(comp, workers, col)
+			dec, err := DecompressObserved(comp, workers, telemetry.Observer{Collector: col})
 			if err != nil {
 				t.Fatal(err)
 			}

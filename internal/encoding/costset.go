@@ -18,26 +18,13 @@ type CostCounts struct {
 	tree4  uint64 // Tree 4 bits contributed by nonzero values
 }
 
-// Reset clears the counts for reuse.
-func (c *CostCounts) Reset() { *c = CostCounts{} }
-
-// Observe folds one value into the counts and returns its bin number
-// (identical to quant.BitsForValue), so a caller that also needs
-// ECb_max gets it from the same classification.
-func (c *CostCounts) Observe(v int64) uint {
-	if v == 0 {
-		c.N++
-		c.Zero++
-		return 1
-	}
-	return c.ObserveNonZero(v)
-}
-
-// ObserveNonZero is Observe restricted to v != 0 — the classification
-// the fused compression path runs per retained quantum after its
-// zero fast path has already skipped the (overwhelming) zero
-// population; those are folded in wholesale with AddZeros. Calling it
-// with v == 0 corrupts the counts.
+// ObserveNonZero folds one nonzero value into the counts and returns
+// its bin number (identical to quant.BitsForValue), so a caller that
+// also needs ECb_max gets it from the same classification. The
+// compression path runs it per retained quantum after its zero fast
+// path has already skipped the (overwhelming) zero population; those
+// are folded in wholesale with AddZeros. Calling it with v == 0
+// corrupts the counts.
 func (c *CostCounts) ObserveNonZero(v int64) uint {
 	c.N++
 	a := uint64(v)
@@ -57,16 +44,18 @@ func (c *CostCounts) ObserveNonZero(v int64) uint {
 }
 
 // AddZeros folds k zero-valued observations into the counts at once.
-// All counts are commutative sums, so Observe(0) k times, interleaved
-// anywhere in the observation order, yields the same CostSet.
+// All counts are commutative sums, so the zeros may be added anywhere
+// in the observation order and yield the same CostSet.
 func (c *CostCounts) AddZeros(k uint64) {
 	c.N += k
 	c.Zero += k
 }
 
 // CostSet holds the exact encoded size, in bits, of one ECQ slice under
-// every method in Methods plus the sparse (index, value) representation.
-// Each entry equals what CostBits/SparseCostBits would report.
+// every method in Methods plus the sparse (index, value) representation:
+// a count field of countBits, then per nonzero an index of idxBits and
+// a value of ecbMax bits. Each method's entry equals what CostBits
+// would report.
 type CostSet struct {
 	Fixed  uint64
 	Tree1  uint64
@@ -96,10 +85,10 @@ func (s CostSet) Bits(m Method) uint64 {
 	panic("encoding: unknown method in CostSet.Bits") //lint:nopanic-ok programmer error: Methods is the full domain
 }
 
-// CostSet prices every method from the accumulated counts. ecbMax,
-// idxBits and countBits follow the CostBits/SparseCostBits contracts.
-// Everything is O(1) algebra over the counts: only Observe touches the
-// data.
+// CostSet prices every method from the accumulated counts. ecbMax
+// follows the CostBits contract; idxBits and countBits size the sparse
+// index and count fields. Everything is O(1) algebra over the counts:
+// only ObserveNonZero and AddZeros touch the data.
 func (c *CostCounts) CostSet(ecbMax, idxBits, countBits uint) CostSet {
 	nz := c.N - c.Zero
 	other := nz - c.One - c.NegOne
@@ -118,14 +107,4 @@ func (c *CostCounts) CostSet(ecbMax, idxBits, countBits uint) CostSet {
 		s.Tree5 = s.Tree3
 	}
 	return s
-}
-
-// Costs prices vals under every method and the sparse path in one scan,
-// replacing one CostBits call per method.
-func Costs(vals []int64, ecbMax, idxBits, countBits uint) CostSet {
-	var c CostCounts
-	for _, v := range vals {
-		c.Observe(v)
-	}
-	return c.CostSet(ecbMax, idxBits, countBits)
 }

@@ -8,6 +8,46 @@ import (
 	"repro/internal/quant"
 )
 
+// Test-side entry points to the cost model. Compression folds nonzero
+// quanta in with ObserveNonZero and the zeros with AddZeros; the tests
+// price whole slices one value at a time.
+
+// Reset clears the counts for reuse.
+func (c *CostCounts) Reset() { *c = CostCounts{} }
+
+// Observe folds one value, zero or not, into the counts and returns its
+// bin number.
+func (c *CostCounts) Observe(v int64) uint {
+	if v == 0 {
+		c.AddZeros(1)
+		return 1
+	}
+	return c.ObserveNonZero(v)
+}
+
+// Costs prices vals under every method and the sparse path in one scan.
+func Costs(vals []int64, ecbMax, idxBits, countBits uint) CostSet {
+	var c CostCounts
+	for _, v := range vals {
+		c.Observe(v)
+	}
+	return c.CostSet(ecbMax, idxBits, countBits)
+}
+
+// SparseCostBits returns the bits a sparse (index, value) representation
+// of vals would need: a count field plus, per nonzero, an index of
+// idxBits bits and a value of ecbMax bits. countBits must be wide enough
+// for len(vals).
+func SparseCostBits(vals []int64, ecbMax, idxBits, countBits uint) uint64 {
+	nnz := uint64(0)
+	for _, v := range vals {
+		if v != 0 {
+			nnz++
+		}
+	}
+	return uint64(countBits) + nnz*uint64(idxBits+ecbMax)
+}
+
 // ecqShaped returns a slice with ECQ-like statistics: mostly zeros,
 // many ±1, occasional wide values.
 func ecqShaped(rng *rand.Rand, n int) []int64 {

@@ -320,20 +320,6 @@ func CostBits(vals []int64, ecbMax uint, m Method) uint64 {
 	return bits
 }
 
-// SparseCostBits returns the bits a sparse (index, value) representation
-// of vals would need: a count field plus, per nonzero, an index of
-// idxBits bits and a value of ecbMax bits. countBits must be wide enough
-// for len(vals).
-func SparseCostBits(vals []int64, ecbMax, idxBits, countBits uint) uint64 {
-	nnz := uint64(0)
-	for _, v := range vals {
-		if v != 0 {
-			nnz++
-		}
-	}
-	return uint64(countBits) + nnz*uint64(idxBits+ecbMax)
-}
-
 // DecodeSparse reads a sparse representation written by
 // EncodeSparseList into dst (which it zeroes first).
 func DecodeSparse(r *bitio.Reader, dst []int64, ecbMax, idxBits, countBits uint) error {

@@ -27,15 +27,11 @@ type BlockedStore struct {
 }
 
 // NewBlockedStore computes, compresses and indexes the screened unique
-// shell-quartet blocks of a basis set at the given error bound.
-func NewBlockedStore(bs *basis.BasisSet, eb float64) (*BlockedStore, error) {
-	return NewBlockedStoreLogged(bs, eb, nil)
-}
-
-// NewBlockedStoreLogged is NewBlockedStore with a structured logger
-// threaded into the container compression (per-section Info records;
-// per-block Debug when the handler enables it). nil disables logging.
-func NewBlockedStoreLogged(bs *basis.BasisSet, eb float64, logger *slog.Logger) (*BlockedStore, error) {
+// shell-quartet blocks of a basis set at the given error bound. logger
+// receives the container compression's structured logs (per-section
+// Info records; per-block Debug when the handler enables it); nil
+// disables logging.
+func NewBlockedStore(bs *basis.BasisSet, eb float64, logger *slog.Logger) (*BlockedStore, error) {
 	prepared := make([]*eri.PreparedShell, bs.NShells())
 	maxL := 0
 	for i := range prepared {

@@ -15,7 +15,7 @@ func TestBlockedFockMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewBlockedStore(bs, 1e-12)
+	store, err := NewBlockedStore(bs, 1e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSCFBlockedWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewBlockedStore(bs, 1e-10)
+	store, err := NewBlockedStore(bs, 1e-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSCFBlockedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewBlockedStore(bs, 1e-10)
+	store, err := NewBlockedStore(bs, 1e-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

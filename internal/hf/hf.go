@@ -69,13 +69,10 @@ type CompressedSource struct {
 // The n⁴ tensor is one PaSTRI block with numSB = n², sbSize = n²: the
 // (ij| pairs index sub-blocks and |kl) pairs index points, so the
 // pattern structure of Sec. III-B applies directly.
-func NewCompressedSource(bs *basis.BasisSet, eb float64) (*CompressedSource, error) {
-	return NewCompressedSourceLogged(bs, eb, nil)
-}
-
-// NewCompressedSourceLogged is NewCompressedSource with a structured
-// logger threaded into the compression run. nil disables logging.
-func NewCompressedSourceLogged(bs *basis.BasisSet, eb float64, logger *slog.Logger) (*CompressedSource, error) {
+//
+// logger receives the compression run's structured logs; nil disables
+// logging.
+func NewCompressedSource(bs *basis.BasisSet, eb float64, logger *slog.Logger) (*CompressedSource, error) {
 	raw := eri.AllERIs(bs)
 	n := bs.NBF()
 	cfg := core.Defaults(n*n, n*n, eb)

@@ -147,7 +147,7 @@ func TestERISourcesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewCompressedSource(bs, 1e-10)
+	comp, err := NewCompressedSource(bs, 1e-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestMP2CompressedERIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewCompressedSource(bs, 1e-10)
+	comp, err := NewCompressedSource(bs, 1e-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

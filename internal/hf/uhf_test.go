@@ -98,7 +98,7 @@ func TestUHFCompressedERIs(t *testing.T) {
 	if err != nil || !exact.Converged {
 		t.Fatalf("exact UHF: %v", err)
 	}
-	comp, err := NewCompressedSource(bs, 1e-10)
+	comp, err := NewCompressedSource(bs, 1e-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

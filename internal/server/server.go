@@ -503,29 +503,30 @@ func (s *Server) handleReadBlock(w http.ResponseWriter, r *http.Request, tenant 
 			fmt.Sprintf("invalid block number %q", r.PathValue("n")))
 		return
 	}
-	col := s.collectors[tenant]
 	lsp := spanFrom(r).StartChild("cache.lookup")
-	data, err := s.cache.GetOrFillTraced(blockcache.Key{Tenant: tenant, Stream: id, Block: n}, lsp,
+	data, err := s.cache.GetOrFill(blockcache.Key{Tenant: tenant, Stream: id, Block: n}, lsp,
 		func(fsp *trace.Span) ([]float64, error) {
 			var dst []float64
 			var fillErr error
 			// Label the decode fill so CPU profiles split read-path time
 			// into stage=decode under the request's tenant/route labels,
 			// and time it on the tenant's decode stage so the history
-			// ring's stage_ns series attribute read-path burn.
-			pprof.Do(r.Context(), pprof.Labels("stage", "decode"), func(context.Context) {
-				tDec := col.StageStart()
-				defer col.StageEnd(telemetry.StageDecode, tDec)
+			// ring's stage_ns series attribute read-path burn. The
+			// observer carries no span: the store records the fill's
+			// read_at and decode spans under fsp itself.
+			obs := telemetry.Observer{Collector: s.collectors[tenant], ProfileCtx: r.Context()}
+			obs.Do(telemetry.StageDecode.String(), func() {
+				defer obs.Stage(telemetry.StageDecode).End()
 				var seg *store.Segment
 				seg, fillErr = s.st.Get(tenant, id)
 				if fillErr != nil {
 					return
 				}
 				dst = make([]float64, seg.BlockSize())
-				if fillErr = seg.ReadBlockTraced(n, dst, fsp); fillErr != nil {
+				if fillErr = seg.ReadBlock(n, dst, fsp); fillErr != nil {
 					return
 				}
-				col.RecordDecodedBlock(seg.CompressedBlockBytes(n), len(dst)*8)
+				obs.Collector.RecordDecodedBlock(seg.CompressedBlockBytes(n), len(dst)*8)
 			})
 			if fillErr != nil {
 				return nil, fillErr

@@ -8,6 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
 // traceEventJSON mirrors the Chrome trace-event shape /debug/traces
@@ -237,5 +240,78 @@ func TestRequestTraceTree(t *testing.T) {
 	}
 	if st.SpansDropped != 0 {
 		t.Fatalf("unexpected dropped spans: %d", st.SpansDropped)
+	}
+}
+
+// TestStageSpansMatchCollector holds the two views of one upload's
+// compress stages to each other. Every stage interval is timed once
+// and recorded in both the tenant collector and the request trace, so
+// for each compress stage the compress span's children with that name
+// must carry exactly the collector's observation count and total
+// nanoseconds.
+func TestStageSpansMatchCollector(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Listen = "127.0.0.1:0"
+	cfg.StoreDir = t.TempDir()
+	cfg.Workers = 2
+	cfg.Tenants = map[string]TenantConfig{"alice": {}}
+	cfg.Trace = TraceConfig{SampleRate: 1, KeepFraction: 1, RingDepth: 8}
+	srv, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	const blocks = 8
+	upload(t, ts, "alice", "s1", wireBody(blocks))
+	ts.Close() // waits for the handler, so the trace is finished and retained
+
+	var up *trace.FinishedTrace
+	for _, ft := range srv.tracer.Ring() {
+		if ft.Name == "upload" {
+			up = ft
+		}
+	}
+	if up == nil {
+		t.Fatal("upload trace not retained")
+	}
+	compressID := ""
+	for _, sd := range up.Spans {
+		if sd.Name == "compress" {
+			compressID = sd.SpanID
+		}
+	}
+	if compressID == "" {
+		t.Fatal("upload trace has no compress span")
+	}
+	type total struct{ count, ns uint64 }
+	spans := make(map[string]total)
+	for _, sd := range up.Spans {
+		if sd.ParentID == compressID {
+			tot := spans[sd.Name]
+			tot.count++
+			tot.ns += uint64(sd.DurationNS)
+			spans[sd.Name] = tot
+		}
+	}
+
+	snap := srv.collectors["alice"].Snapshot()
+	for _, stage := range []telemetry.Stage{
+		telemetry.StageBlockSplit, telemetry.StagePatternFit, telemetry.StageQuantize,
+		telemetry.StageEncode, telemetry.StageSequencerWait, telemetry.StageWrite,
+	} {
+		name := stage.String()
+		col := snap.Stages[name]
+		if col.Count == 0 {
+			t.Errorf("%s: collector recorded nothing", name)
+		}
+		if got := spans[name]; got.count != col.Count || got.ns != col.TotalNS {
+			t.Errorf("%s: spans %d totalling %d ns, collector %d observations totalling %d ns",
+				name, got.count, got.ns, col.Count, col.TotalNS)
+		}
+	}
+	// One wait per block plus the wait for the results channel to close.
+	if got := snap.Stages[telemetry.StageSequencerWait.String()].Count; got != blocks+1 {
+		t.Errorf("sequencer_wait observed %d times, want %d", got, blocks+1)
 	}
 }

@@ -47,7 +47,7 @@ func readAllBlocks(t *testing.T, segPath, idxPath string, want []float64) (opene
 	defer seg.close()
 	dst := make([]float64, seg.BlockSize())
 	for b := 0; b < seg.NumBlocks(); b++ {
-		if rerr := seg.ReadBlock(b, dst); rerr != nil {
+		if rerr := seg.ReadBlock(b, dst, nil); rerr != nil {
 			if !errors.Is(rerr, ErrCorrupt) && !errors.Is(rerr, ErrNotFound) {
 				t.Fatalf("ReadBlock returned untyped error: %v", rerr)
 			}
@@ -133,11 +133,11 @@ func TestStoreBitFlipAfterOpen(t *testing.T) {
 	defer restore()
 
 	dst := make([]float64, cfg.BlockSize())
-	if err := seg.ReadBlock(2, dst); !errors.Is(err, ErrCorrupt) {
+	if err := seg.ReadBlock(2, dst, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("post-open flip: got %v, want ErrCorrupt", err)
 	}
 	// Unaffected blocks still serve correct bytes.
-	if err := seg.ReadBlock(0, dst); err != nil {
+	if err := seg.ReadBlock(0, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range dst {

@@ -71,7 +71,7 @@ func FuzzStoreOpen(f *testing.F) {
 		defer s.close()
 		dst := make([]float64, s.BlockSize())
 		for b := 0; b < s.NumBlocks(); b++ {
-			if rerr := s.ReadBlock(b, dst); rerr != nil &&
+			if rerr := s.ReadBlock(b, dst, nil); rerr != nil &&
 				!errors.Is(rerr, ErrCorrupt) && !errors.Is(rerr, ErrNotFound) {
 				t.Fatalf("untyped read error: %v", rerr)
 			}

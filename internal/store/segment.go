@@ -247,17 +247,11 @@ func (g *Segment) CompressedBlockBytes(b int) int {
 }
 
 // ReadBlock fetches block b with one ReadAt, re-verifies its payload
-// checksum, and decodes it into dst (BlockSize() values). Safe for
-// concurrent use.
-func (g *Segment) ReadBlock(b int, dst []float64) error {
-	return g.ReadBlockTraced(b, dst, nil)
-}
-
-// ReadBlockTraced is ReadBlock recording store.read_at and
-// store.decode child spans under parent (typically the request's
-// cache.fill span). A nil parent disables the spans at the cost of
-// one branch each.
-func (g *Segment) ReadBlockTraced(b int, dst []float64, parent *trace.Span) error {
+// checksum, and decodes it into dst (BlockSize() values), recording
+// store.read_at and store.decode child spans under parent (typically
+// the request's cache.fill span). A nil parent disables the spans at
+// the cost of one branch each. Safe for concurrent use.
+func (g *Segment) ReadBlock(b int, dst []float64, parent *trace.Span) error {
 	if b < 0 || b >= len(g.blocks) {
 		return fmt.Errorf("store: block %d out of range [0, %d): %w", b, len(g.blocks), ErrNotFound)
 	}

@@ -107,7 +107,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	dst := make([]float64, cfg.BlockSize())
 	for b := 0; b < seg.NumBlocks(); b++ {
-		if err := seg.ReadBlock(b, dst); err != nil {
+		if err := seg.ReadBlock(b, dst, nil); err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
 		for i, v := range dst {
@@ -161,7 +161,7 @@ func TestStoreStreamedSegment(t *testing.T) {
 	}
 	dst := make([]float64, bs)
 	for b := 0; b < 5; b++ {
-		if err := seg.ReadBlock(b, dst); err != nil {
+		if err := seg.ReadBlock(b, dst, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range dst {
@@ -192,13 +192,13 @@ func TestStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, cfg.BlockSize())
-	if err := seg.ReadBlock(-1, dst); !errors.Is(err, ErrNotFound) {
+	if err := seg.ReadBlock(-1, dst, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("negative block: got %v, want ErrNotFound", err)
 	}
-	if err := seg.ReadBlock(2, dst); !errors.Is(err, ErrNotFound) {
+	if err := seg.ReadBlock(2, dst, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("past-the-end block: got %v, want ErrNotFound", err)
 	}
-	if err := seg.ReadBlock(0, dst[:1]); err == nil {
+	if err := seg.ReadBlock(0, dst[:1], nil); err == nil {
 		t.Fatal("short destination accepted")
 	}
 
@@ -326,7 +326,7 @@ func TestStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, cfg.BlockSize())
-	if err := seg.ReadBlock(0, dst); err != nil {
+	if err := seg.ReadBlock(0, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -400,7 +400,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 			dst := make([]float64, bs)
 			for rep := 0; rep < 50; rep++ {
 				b := (g + rep) % seg.NumBlocks()
-				if err := seg.ReadBlock(b, dst); err != nil {
+				if err := seg.ReadBlock(b, dst, nil); err != nil {
 					done <- err
 					return
 				}
@@ -452,7 +452,7 @@ func TestStoreGetRacingDeleteCachesNoStaleHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, cfg.BlockSize())
-	if err := seg.ReadBlock(0, dst); err != nil {
+	if err := seg.ReadBlock(0, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range dst {
@@ -493,7 +493,7 @@ func TestStoreGetDuringDeleteCycles(t *testing.T) {
 				default:
 				}
 				if seg, err := st.Get("alice", "s1"); err == nil {
-					_ = seg.ReadBlock(0, dst) // may race the Delete that closes seg
+					_ = seg.ReadBlock(0, dst, nil) // may race the Delete that closes seg
 				}
 			}
 		}()
@@ -512,7 +512,7 @@ func TestStoreGetDuringDeleteCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := seg.ReadBlock(0, dst); err != nil {
+		if err := seg.ReadBlock(0, dst, nil); err != nil {
 			t.Fatal(err)
 		}
 		for j, v := range dst {

@@ -34,7 +34,7 @@ func TestEBViolationProducesReplayableArtifact(t *testing.T) {
 
 	// A few healthy blocks populate the trace ring (and baseline).
 	for i := 0; i < 5; i++ {
-		col.RecordBlockData(goodRec(), nil, nil)
+		col.RecordBlock(goodRec(), nil, nil)
 	}
 	// Inject a genuine violation: the reconstruction is off by 3×EB on
 	// one element, and the record carries negative slack.
@@ -42,7 +42,7 @@ func TestEBViolationProducesReplayableArtifact(t *testing.T) {
 	reconstructed := []float64{1.0, 2.0, 3.0 + 3*eb, 4.0}
 	bad := goodRec()
 	bad.EBSlack = -2 * eb
-	col.RecordBlockData(bad, original, reconstructed)
+	col.RecordBlock(bad, original, reconstructed)
 
 	counts := fr.AnomalyCounts()
 	if counts[ReasonEBViolation] != 1 {
@@ -93,7 +93,7 @@ func TestSlackFloorInjectsViolations(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{SlackFloor: 1e-10})
 	col.AttachFlight(fr)
 	for i := 0; i < 3; i++ {
-		col.RecordBlockData(goodRec(), nil, nil)
+		col.RecordBlock(goodRec(), nil, nil)
 	}
 	if got := fr.AnomalyCounts()[ReasonEBViolation]; got != 3 {
 		t.Fatalf("slack-floor anomalies = %d, want 3", got)
@@ -113,7 +113,7 @@ func TestRatioOutlierDetection(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		r := goodRec()
 		r.BytesOut = 100 + i%3
-		col.RecordBlockData(r, nil, nil)
+		col.RecordBlock(r, nil, nil)
 	}
 	if n := fr.AnomalyCounts()[ReasonRatioOutlier]; n != 0 {
 		t.Fatalf("healthy warmup produced %d outliers", n)
@@ -121,13 +121,13 @@ func TestRatioOutlierDetection(t *testing.T) {
 	// A block that barely compresses at all is far outside 4 sigma.
 	collapsed := goodRec()
 	collapsed.BytesOut = 790
-	col.RecordBlockData(collapsed, nil, nil)
+	col.RecordBlock(collapsed, nil, nil)
 	if n := fr.AnomalyCounts()[ReasonRatioOutlier]; n != 1 {
 		t.Fatalf("ratio collapse not detected: %v", fr.AnomalyCounts())
 	}
 	// The outlier must not have been folded into the baseline: an
 	// immediately following healthy block stays healthy.
-	col.RecordBlockData(goodRec(), nil, nil)
+	col.RecordBlock(goodRec(), nil, nil)
 	if n := fr.AnomalyCounts()[ReasonRatioOutlier]; n != 1 {
 		t.Fatalf("baseline dragged by outlier: %v", fr.AnomalyCounts())
 	}
@@ -152,7 +152,7 @@ func TestMaxArtifactsBounds(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{Dir: dir, SlackFloor: 1, MaxArtifacts: 2})
 	col.AttachFlight(fr)
 	for i := 0; i < 10; i++ {
-		col.RecordBlockData(goodRec(), nil, nil)
+		col.RecordBlock(goodRec(), nil, nil)
 	}
 	if got := fr.AnomalyCounts()[ReasonEBViolation]; got != 10 {
 		t.Fatalf("anomaly count = %d, want 10 (counting must not stop at the artifact cap)", got)
@@ -180,7 +180,7 @@ func TestArtifactWriteErrorSurfaced(t *testing.T) {
 	col := New(4)
 	fr := NewFlightRecorder(FlightConfig{Dir: filepath.Join(block, "sub"), SlackFloor: 1})
 	col.AttachFlight(fr)
-	col.RecordBlockData(goodRec(), nil, nil)
+	col.RecordBlock(goodRec(), nil, nil)
 	if err := fr.Err(); err == nil {
 		t.Fatal("write failure not surfaced")
 	}

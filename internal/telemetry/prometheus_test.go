@@ -256,14 +256,13 @@ func populatedCollector(t *testing.T) *Collector {
 		if i == 5 {
 			rec.EBSlack = 1e-12 // below the slack floor -> one anomaly
 		}
-		c.RecordBlockData(rec, nil, nil)
+		c.RecordBlock(rec, nil, nil)
 	}
 	c.AddFramingBytes(64)
 	c.AddEBViolations(2)
-	start := time.Now().Add(-time.Millisecond)
-	c.StageEnd(StageEncode, start)
-	c.StageEnd(StageEncode, time.Now().Add(-2*time.Millisecond))
-	c.StageEnd(StageDecode, time.Now().Add(-500*time.Microsecond))
+	c.stages[StageEncode].observe(time.Millisecond)
+	c.stages[StageEncode].observe(2 * time.Millisecond)
+	c.stages[StageDecode].observe(500 * time.Microsecond)
 	c.RecordDecodedBlock(100, 800)
 	return c
 }
@@ -354,7 +353,7 @@ func TestWritePrometheusPipeline(t *testing.T) {
 
 func TestWritePrometheusWithoutFlight(t *testing.T) {
 	c := New(0)
-	c.RecordBlock(goodRec())
+	c.RecordBlock(goodRec(), nil, nil)
 	var sb strings.Builder
 	if err := c.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

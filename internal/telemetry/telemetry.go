@@ -2,7 +2,10 @@
 // PaSTRI compression pipeline: lock-free atomic counters, power-of-two
 // bucketed histograms, per-stage wall-clock timers, and a bounded
 // per-block trace ring buffer, aggregated by a Collector and exported
-// as JSON snapshots or an expvar variable.
+// as JSON snapshots or an expvar variable. The pipeline reaches the
+// collector through an Observer (observer.go), which also carries the
+// logger, the request span and the pprof label context, and times each
+// stage once for both the collector and the span.
 //
 // Everything is nil-safe: every Collector method begins with a nil
 // check and returns immediately, so a disabled pipeline pays only a
@@ -236,72 +239,17 @@ func New(traceDepth int) *Collector {
 	return c
 }
 
-// Enabled reports whether the collector records anything; it is the
-// hook for instrumentation that must do extra work (e.g. computing a
-// trace record) only when someone is listening.
-func (c *Collector) Enabled() bool { return c != nil }
-
-// StageStart returns a start token for StageEnd. On a nil collector it
-// returns the zero time without reading the clock.
-func (c *Collector) StageStart() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return time.Now() //lint:detlint-ok telemetry only: stage durations are exported, never steer encoding
-}
-
-// StageEnd records the elapsed time since start against stage s. It is
-// a no-op on a nil collector or a zero start token, so
-// StageStart/StageEnd pairs need no call-site guards. Use this pair
-// (not Timer) when one function times several sequential stages.
-func (c *Collector) StageEnd(s Stage, start time.Time) {
-	if c == nil || start.IsZero() {
-		return
-	}
-	c.stages[s].observe(time.Since(start)) //lint:detlint-ok telemetry only: stage durations are exported, never steer encoding
-}
-
-// A Timer records one stage interval when stopped. The zero Timer is a
-// no-op.
-type Timer struct {
-	c     *Collector
-	s     Stage
-	start time.Time
-}
-
-// Timer starts a timer for stage s. Stop the result with defer so the
-// interval is recorded on every exit path — the telemetrydrop lint
-// check enforces this.
-func (c *Collector) Timer(s Stage) Timer {
-	if c == nil {
-		return Timer{}
-	}
-	return Timer{c: c, s: s, start: time.Now()} //lint:detlint-ok telemetry only: stage durations are exported, never steer encoding
-}
-
-// Stop records the interval since the timer started.
-func (t Timer) Stop() {
-	if t.c == nil {
-		return
-	}
-	t.c.stages[t.s].observe(time.Since(t.start)) //lint:detlint-ok telemetry only: stage durations are exported, never steer encoding
-}
-
 // RecordBlock accounts one compressed block: counters, the payload
 // size histogram, and a slot in the trace ring. The record's Block id
 // is assigned here, in completion order (the stream's block order is
 // the submission order, which may differ under parallel compression).
 // It returns the assigned id (0 on a nil collector).
-func (c *Collector) RecordBlock(rec TraceRecord) uint64 {
-	return c.RecordBlockData(rec, nil, nil)
-}
-
-// RecordBlockData is RecordBlock for instrumentation points that can
-// hand the attached FlightRecorder the block's raw and reconstructed
-// values for anomaly capture. The slices are only read during the
-// call — never retained — so callers may pass reusable scratch
-// buffers. Either slice may be nil.
-func (c *Collector) RecordBlockData(rec TraceRecord, original, reconstructed []float64) uint64 {
+//
+// original and reconstructed are the block's raw and reconstructed
+// values, handed to an attached FlightRecorder for anomaly capture.
+// They are only read during the call — never retained — so callers may
+// pass reusable scratch buffers. Either may be nil.
+func (c *Collector) RecordBlock(rec TraceRecord, original, reconstructed []float64) uint64 {
 	if c == nil {
 		return 0
 	}

@@ -10,18 +10,20 @@ import (
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	if c.Enabled() {
-		t.Fatal("nil collector reports enabled")
+	// A zero observer hands out the zero timer: no clock read at Stage,
+	// none at End, and no allocation on either side.
+	var obs Observer
+	if tm := obs.Stage(StageEncode); tm != (StageTimer{}) {
+		t.Fatalf("zero observer read the clock: timer %+v", tm)
 	}
-	start := c.StageStart()
-	if !start.IsZero() {
-		t.Fatal("nil collector read the clock")
+	if allocs := testing.AllocsPerRun(100, func() { obs.Stage(StageWrite).End() }); allocs != 0 {
+		t.Fatalf("zero observer stage timer allocates %v/op, want 0", allocs)
 	}
-	c.StageEnd(StageEncode, start)
-	c.StageEnd(StageEncode, time.Now()) // zero token not required
-	tm := c.Timer(StageWrite)
-	tm.Stop()
-	c.RecordBlock(TraceRecord{BytesIn: 8, BytesOut: 4})
+	if obs.DebugEnabled() {
+		t.Fatal("zero observer reports Debug enabled")
+	}
+	obs.Info("dropped")
+	c.RecordBlock(TraceRecord{BytesIn: 8, BytesOut: 4}, nil, nil)
 	c.AddFramingBytes(32)
 	c.RecordDecodedBlock(4, 8)
 	if snap := c.Snapshot(); snap != nil {
@@ -93,7 +95,7 @@ func TestRecordBlockAndSnapshotTotals(t *testing.T) {
 			Encoding:  k,
 			BytesIn:   288,
 			BytesOut:  10 + i,
-		})
+		}, nil, nil)
 	}
 	c.AddFramingBytes(32)
 	c.AddFramingBytes(5)
@@ -129,7 +131,7 @@ func TestRecordBlockAndSnapshotTotals(t *testing.T) {
 
 func TestTraceDisabled(t *testing.T) {
 	c := New(-1)
-	c.RecordBlock(TraceRecord{BytesIn: 8, BytesOut: 2})
+	c.RecordBlock(TraceRecord{BytesIn: 8, BytesOut: 2}, nil, nil)
 	snap := c.Snapshot()
 	if snap.Blocks != 1 || len(snap.Traces) != 0 {
 		t.Fatalf("blocks=%d traces=%v", snap.Blocks, snap.Traces)
@@ -154,9 +156,10 @@ func TestConcurrentExactness(t *testing.T) {
 					Encoding: BlockEncoding(i % int(numBlockEncodings)),
 					BytesIn:  64,
 					BytesOut: i % 32,
-				})
+				}, nil, nil)
 				c.AddFramingBytes(1)
-				c.StageEnd(StageEncode, c.StageStart())
+				obs := Observer{Collector: c}
+				obs.Stage(StageEncode).End()
 				c.RecordDecodedBlock(2, 64)
 			}
 		}(w)
@@ -197,7 +200,7 @@ func TestConcurrentExactness(t *testing.T) {
 
 func TestSnapshotJSONAndExpvar(t *testing.T) {
 	c := New(2)
-	c.RecordBlock(TraceRecord{SubBlocks: 2, Encoding: EncDense, BytesIn: 16, BytesOut: 4, EBSlack: 1e-11})
+	c.RecordBlock(TraceRecord{SubBlocks: 2, Encoding: EncDense, BytesIn: 16, BytesOut: 4, EBSlack: 1e-11}, nil, nil)
 	c.AddFramingBytes(3)
 	var decoded map[string]any
 	if err := json.Unmarshal(c.Snapshot().JSON(), &decoded); err != nil {

@@ -488,6 +488,37 @@ func (s *Span) StartChild(name string) *Span {
 	return child
 }
 
+// RecordChild records an already finished child span that started at
+// start and lasted d, under the same span cap as StartChild. It is for
+// callers that time an interval themselves (the pipeline's stage
+// timers): one lock, and no live *Span is allocated. A nil or
+// non-recording receiver records nothing.
+func (s *Span) RecordChild(name string, start time.Time, d time.Duration) {
+	if s == nil || s.at == nil {
+		return
+	}
+	at := s.at
+	t := s.tracer
+	spanID := t.newSpanID()
+	at.mu.Lock()
+	if len(at.spans) >= at.maxSpans {
+		at.dropped++
+		at.mu.Unlock()
+		t.spansDropped.Add(1)
+		return
+	}
+	//lint:hotalloc2-ok sampled-trace slow path: span storage grows only while a trace is recording
+	at.spans = append(at.spans, SpanData{
+		SpanID:      spanID.String(),
+		ParentID:    s.spanID.String(),
+		Name:        name,
+		StartUnixNS: start.UnixNano(),
+		DurationNS:  d.Nanoseconds(),
+	})
+	at.mu.Unlock()
+	t.spansStarted.Add(1)
+}
+
 // End finishes the span, recording its duration. Safe on nil; a
 // second End is a no-op. Root spans are ended by
 // Tracer.FinishRequest, not End.

@@ -196,6 +196,41 @@ func TestSpanCapDropsAndCounts(t *testing.T) {
 	}
 }
 
+// TestRecordChild: a finished child recorded after the fact lands
+// under its parent with the given start and duration, obeys the span
+// cap like StartChild, and is a no-op on nil or non-recording spans.
+func TestRecordChild(t *testing.T) {
+	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1, MaxSpans: 3})
+	sp := tr.StartRequest("upload", "alice", "")
+	c := sp.StartChild("compress")
+	start := time.Unix(100, 5)
+	c.RecordChild("encode", start, 42*time.Microsecond)
+	c.RecordChild("write", start, time.Microsecond) // over cap: root + compress + encode = 3
+	c.End()
+	tr.FinishRequest(sp)
+	ring := tr.Ring()
+	if len(ring) != 1 || len(ring[0].Spans) != 3 || ring[0].DroppedSpans != 1 {
+		t.Fatalf("ring = %+v, want 3 spans with 1 dropped", ring)
+	}
+	enc := ring[0].Spans[2]
+	if enc.Name != "encode" || enc.ParentID != c.SpanID() || enc.StartUnixNS != start.UnixNano() ||
+		enc.DurationNS != 42000 || enc.SpanID == "" || enc.SpanID == c.SpanID() {
+		t.Fatalf("recorded child = %+v, want encode under %s starting %d lasting 42000 ns",
+			enc, c.SpanID(), start.UnixNano())
+	}
+	if st := tr.Stats(); st.SpansStarted != 3 || st.SpansDropped != 1 {
+		t.Fatalf("stats = %+v, want 3 started 1 dropped", st)
+	}
+
+	var nilSpan *Span
+	nilSpan.RecordChild("encode", start, time.Second)
+	unsampled := deterministicTracer(Config{}).StartRequest("upload", "alice", "")
+	unsampled.RecordChild("encode", start, time.Second)
+	if unsampled.Recording() {
+		t.Fatal("unsampled root is recording")
+	}
+}
+
 func TestSpanTreeParentage(t *testing.T) {
 	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1})
 	root := tr.StartRequest("upload", "alice", "")

@@ -113,8 +113,7 @@ func (o Options) internal() core.Config {
 		Encoding:      encoding.Method(o.Encoding),
 		DisableSparse: o.DisableSparse,
 		Workers:       o.Workers,
-		Collector:     o.Collector,
-		Logger:        o.Logger,
+		Observer:      telemetry.Observer{Collector: o.Collector, Logger: o.Logger},
 	}
 }
 
@@ -153,7 +152,7 @@ func DecompressWorkers(comp []byte, workers int) ([]float64, error) {
 // Collector aggregates pipeline observability: lock-free counters,
 // bucketed histograms, per-stage timers and a per-block trace ring
 // buffer (see internal/telemetry). Attach one via Options.Collector
-// (compression) or DecompressCollect (decompression); read it with
+// (compression) or DecompressLogged (decompression); read it with
 // Snapshot (pull-based — the pipeline never calls back), render it
 // with Snapshot.JSON, or serve it live with Publish plus an HTTP
 // server exposing expvar's /debug/vars. A nil *Collector is a valid
@@ -207,20 +206,14 @@ func ReadFlightArtifact(path string) (*FlightArtifact, error) {
 	return telemetry.ReadFlightArtifact(path)
 }
 
-// DecompressCollect is DecompressWorkers with a telemetry sink:
-// per-block decode timings and decoded block/byte counts are recorded
-// into c (nil ⇒ no telemetry).
-func DecompressCollect(comp []byte, workers int, c *Collector) ([]float64, error) {
-	return core.DecompressCollect(comp, workers, c)
-}
-
-// DecompressLogged is DecompressCollect with a structured logger: a
-// successful run emits one Info summary with the stream's geometry,
-// error bound, block and byte counts. Decompression reads its
-// configuration from the stream header, so the logger is threaded
-// explicitly rather than via Options.
+// DecompressLogged is DecompressWorkers observed: per-block decode
+// timings and decoded block/byte counts are recorded into c, and a
+// successful run logs one Info summary with the stream's geometry,
+// error bound, block and byte counts to logger. Either may be nil.
+// Decompression reads its configuration from the stream header, so the
+// collector and logger are passed here rather than via Options.
 func DecompressLogged(comp []byte, workers int, c *Collector, logger *slog.Logger) ([]float64, error) {
-	return core.DecompressLogged(comp, workers, c, logger)
+	return core.DecompressObserved(comp, workers, telemetry.Observer{Collector: c, Logger: logger})
 }
 
 // StreamInfo describes a compressed stream without decompressing it.
