@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecompress$$ -fuzztime=$(FUZZTIME) ./internal/zfp
 	$(GO) test -run='^$$' -fuzz=FuzzCFGBuild$$ -fuzztime=$(FUZZTIME) ./internal/analysis/flow
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOpen$$ -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzHistogram$$ -fuzztime=$(FUZZTIME) ./internal/telemetry
 
 # bench-smoke: execute (not measure) the perf-sensitive benchmarks once
 # each, so a PR that breaks the telemetry zero-cost path or the parallel

@@ -1,11 +1,6 @@
 package pastri
 
-import (
-	"repro/internal/container"
-	"repro/internal/core"
-	"repro/internal/encoding"
-	"repro/internal/pattern"
-)
+import "repro/internal/container"
 
 // Mixed-geometry containers: real ERI runs over hybrid basis
 // configurations emit many block shapes (the paper's "(df|fd), etc."
@@ -27,17 +22,10 @@ type ContainerWriter struct {
 }
 
 // NewContainerWriter creates a container writer; o supplies the error
-// bound, metric, encoding and worker settings (its geometry fields are
-// ignored — each block carries its own).
+// bound, metric, encoding, worker, collector and logger settings (its
+// geometry fields are ignored — each block carries its own).
 func NewContainerWriter(o Options) (*ContainerWriter, error) {
-	base := core.Config{
-		ErrorBound:    o.ErrorBound,
-		Metric:        pattern.Metric(o.Metric),
-		Encoding:      encoding.Method(o.Encoding),
-		DisableSparse: o.DisableSparse,
-		Workers:       o.Workers,
-	}
-	w, err := container.NewWriter(base)
+	w, err := container.NewWriter(o.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,12 @@
 package pastri
 
 import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -67,5 +71,55 @@ func TestContainerPublicRoundTrip(t *testing.T) {
 	}
 	if _, err := NewContainerWriter(Options{ErrorBound: -1}); err == nil {
 		t.Fatal("invalid options accepted")
+	}
+}
+
+// TestContainerObserved: a container written through the public API
+// reports to Options.Collector and Options.Logger. The collector
+// counts every block and accounts the container's exact size, and the
+// logger gets one "section compressed" record per geometry.
+func TestContainerObserved(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var logs bytes.Buffer
+	o := NewOptions(1, 1, 1e-10)
+	o.Collector = NewCollector()
+	o.Logger = slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	w, err := NewContainerWriter(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geos := []BlockGeometry{{36, 36}, {60, 100}, {100, 100}}
+	const blocks = 9
+	for i := 0; i < blocks; i++ {
+		g := geos[i%len(geos)]
+		if err := w.WriteBlock(g, patterned(rng, 1, g.NumSubBlocks, g.SubBlockSize, 1e-7, 1e-12)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := o.Collector.Snapshot(); snap.Blocks != blocks || snap.BytesOutTotal != uint64(len(buf)) {
+		t.Errorf("collector counted %d blocks and %d bytes out, want %d and the container's %d",
+			snap.Blocks, snap.BytesOutTotal, blocks, len(buf))
+	}
+	sections := 0
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg string `json:"msg"`
+		}
+		if line == "" {
+			continue
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		if rec.Msg == "section compressed" {
+			sections++
+		}
+	}
+	if sections != len(geos) {
+		t.Errorf("%d section compressed records, want one per geometry (%d)", sections, len(geos))
 	}
 }

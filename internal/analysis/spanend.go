@@ -278,8 +278,8 @@ func (p *Pass) spanEndDeferred(body ast.Node, v *types.Var) bool {
 }
 
 // spanEscapes reports whether v is used for anything other than method
-// calls on it or reassignment — passed as an argument, returned,
-// stored in a field, captured as a method value. Escaped spans are the
+// calls on it, reassignment or assignment to _ — passed as an argument,
+// returned, stored in a field, captured as a method value. Escaped spans are the
 // recipient's responsibility (the analyzer checks that site instead).
 func (p *Pass) spanEscapes(body ast.Node, v *types.Var) bool {
 	escaped := false
@@ -307,9 +307,14 @@ func (p *Pass) spanEscapes(body ast.Node, v *types.Var) bool {
 			}
 		case *ast.AssignStmt:
 			// Re-binding the same variable to a fresh span is a define
-			// site, not an escape.
-			for _, lhs := range parent.Lhs {
+			// site, not an escape, and `_ = v` hands the span to no one:
+			// it neither escapes nor ends it.
+			for i, lhs := range parent.Lhs {
 				if lhs == ast.Expr(id) {
+					return true
+				}
+				if blank, ok := lhs.(*ast.Ident); ok && blank.Name == "_" &&
+					len(parent.Lhs) == len(parent.Rhs) && ast.Unparen(parent.Rhs[i]) == ast.Expr(id) {
 					return true
 				}
 			}

@@ -187,3 +187,18 @@ func timerLoopRecreate(o *Observer, results chan int) {
 	}
 	wait.End()
 }
+
+// Assigning a span or timer to _ hands it to no one: it neither
+// escapes nor ends.
+
+func blankedNotEnded(sp *Span) {
+	c := sp.StartChild("x") // want "span \"c\" is never ended"
+	_ = c
+}
+
+func blankedTimer(o *Observer) error {
+	fit := o.Stage(1) // want "stage timer \"fit\" is never ended"
+	err := work()
+	_ = fit
+	return err
+}

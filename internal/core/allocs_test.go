@@ -76,7 +76,8 @@ func TestEncodeBlockAllocs(t *testing.T) {
 }
 
 // TestDecodeBlockAllocs: a warm BlockDecoder must decode without any
-// heap allocation.
+// heap allocation, and so must DecodeBlockBytes once the decoder pool
+// is warm.
 func TestDecodeBlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -106,6 +107,14 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("DecodeBlock allocates %v times per block, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := DecodeBlockBytes(cfg, payload, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeBlockBytes allocates %v times per block, want 0", allocs)
 	}
 }
 

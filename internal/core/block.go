@@ -209,6 +209,7 @@ type BlockDecoder struct {
 	sq   []int64
 	ecq  []int64
 	pHat []float64
+	r    bitio.Reader // DecodeBlockBytes's reader, pooled with the decoder
 }
 
 // NewBlockDecoder returns a decoder for the given configuration.

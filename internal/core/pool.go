@@ -52,9 +52,27 @@ func getDecoder(cfg Config) *BlockDecoder {
 	return d
 }
 
+// putDecoder returns a decoder to the pool, dropping the observer and
+// the payload its reader points at.
 func putDecoder(d *BlockDecoder) {
 	d.cfg.Observer = telemetry.Observer{}
+	d.r.Reset(nil)
 	decoderPool.Put(d)
+}
+
+// DecodeBlockBytes decodes one block's payload into dst, which must
+// have cfg.BlockSize() values, with a decoder and bit reader from the
+// package pool — the pool every geometry shares, so callers that decode
+// blocks of many streams keep no decoders of their own. A warm call
+// allocates nothing.
+func DecodeBlockBytes(cfg Config, payload []byte, dst []float64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	d := getDecoder(cfg)
+	defer putDecoder(d)
+	d.r.Reset(payload)
+	return d.DecodeBlock(&d.r, dst)
 }
 
 // payloadPool recycles per-block payload buffers. Pointers (not slices)

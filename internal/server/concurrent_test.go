@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"repro/internal/blockcache"
 	"repro/internal/core"
 	"repro/internal/telemetry/slo"
+	"repro/internal/telemetry/trace"
 )
 
 // testStream is one upload and the serial compress→decompress of its
@@ -86,32 +90,92 @@ func parallel(t *testing.T, n int, fn func(i int) error) {
 	}
 }
 
+// The traffic of TestConcurrentTenants and TestSlowestRequestsRetained:
+// writers upload two tenants' streams at once, then readers read
+// random blocks of them at once.
+const (
+	writers          = 4
+	streamsPerWriter = 2
+	blocksPerStream  = 8
+	readers          = 8
+	readsPerReader   = 50
+	reads            = readers * readsPerReader
+	requests         = writers*streamsPerWriter + reads
+)
+
+var concurrentTenantNames = []string{"tenant-a", "tenant-b"}
+
+// concurrentStreams builds the streams the concurrent traffic uploads,
+// alternating between the two tenants by writer.
+func concurrentStreams(t *testing.T, codec core.Config) []testStream {
+	t.Helper()
+	streams := make([]testStream, writers*streamsPerWriter)
+	for i := range streams {
+		tenant := concurrentTenantNames[i/streamsPerWriter%len(concurrentTenantNames)]
+		streams[i] = newTestStream(t, codec, tenant, fmt.Sprintf("s%d", i), uint64(i+1), blocksPerStream)
+	}
+	return streams
+}
+
+// readSample is one read's client-side latency and trace ID.
+type readSample struct {
+	d       time.Duration
+	traceID string
+}
+
+// runConcurrentTraffic uploads streams from writers goroutines, then
+// reads random blocks from readers goroutines. Every read must match
+// the serial decode byte for byte and carry a traceparent.
+func runConcurrentTraffic(t *testing.T, ts *httptest.Server, streams []testStream, blockBytes int) []readSample {
+	t.Helper()
+	client := ts.Client()
+	parallel(t, writers, func(w int) error {
+		for _, s := range streams[w*streamsPerWriter : (w+1)*streamsPerWriter] {
+			url := ts.URL + "/v1/streams?id=" + s.id
+			if _, _, err := call(client, http.MethodPost, url, s.tenant, s.raw, http.StatusCreated); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+
+	samples := make([][]readSample, readers)
+	parallel(t, readers, func(r int) error {
+		rng := rand.New(rand.NewPCG(uint64(r), 1))
+		for range readsPerReader {
+			s, b := streams[rng.IntN(len(streams))], rng.IntN(blocksPerStream)
+			start := time.Now()
+			got, traceID, err := call(client, http.MethodGet, blockURL(ts.URL, s.id, b), s.tenant, nil, http.StatusOK)
+			if err != nil {
+				return err
+			}
+			samples[r] = append(samples[r], readSample{time.Since(start), traceID})
+			if !bytes.Equal(got, s.dec[b*blockBytes:(b+1)*blockBytes]) {
+				return fmt.Errorf("%s/%s block %d: served bytes differ from the serial decode", s.tenant, s.id, b)
+			}
+			if traceID == "" {
+				return fmt.Errorf("%s/%s block %d: response has no traceparent", s.tenant, s.id, b)
+			}
+		}
+		return nil
+	})
+	return slices.Concat(samples...)
+}
+
 // TestConcurrentTenants uploads and reads the streams of two tenants
 // from many goroutines at once. Every read must match the serial
 // decode byte for byte, the cache counters must account for every
 // read, /debug/slo must cover both tenants with every objective, and
 // /debug/traces must hold every request, the slowest 1% of reads among
 // them. The tracer keeps everything (keep_fraction 1, a ring deeper
-// than the request count), so the retention checks are exact; they say
-// nothing about tail sampling under the production configuration.
+// than the request count), so the retention checks are exact;
+// TestSlowestRequestsRetained covers tail sampling under the production
+// configuration.
 func TestConcurrentTenants(t *testing.T) {
-	const (
-		writers          = 4
-		streamsPerWriter = 2
-		blocksPerStream  = 8
-		readers          = 8
-		readsPerReader   = 50
-		reads            = readers * readsPerReader
-		requests         = writers*streamsPerWriter + reads
-	)
 	codec := core.Defaults(4, 9, 1e-10)
 	blockBytes := codec.BlockSize() * 8
-	tenants := []string{"tenant-a", "tenant-b"}
-	streams := make([]testStream, writers*streamsPerWriter)
-	for i := range streams {
-		tenant := tenants[i/streamsPerWriter%len(tenants)]
-		streams[i] = newTestStream(t, codec, tenant, fmt.Sprintf("s%d", i), uint64(i+1), blocksPerStream)
-	}
+	tenants := concurrentTenantNames
+	streams := concurrentStreams(t, codec)
 
 	for _, tc := range []struct {
 		name       string
@@ -149,42 +213,8 @@ func TestConcurrentTenants(t *testing.T) {
 			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
-			client := ts.Client()
 
-			parallel(t, writers, func(w int) error {
-				for _, s := range streams[w*streamsPerWriter : (w+1)*streamsPerWriter] {
-					url := ts.URL + "/v1/streams?id=" + s.id
-					if _, _, err := call(client, http.MethodPost, url, s.tenant, s.raw, http.StatusCreated); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-
-			type readSample struct {
-				d       time.Duration
-				traceID string
-			}
-			samples := make([][]readSample, readers)
-			parallel(t, readers, func(r int) error {
-				rng := rand.New(rand.NewPCG(uint64(r), 1))
-				for range readsPerReader {
-					s, b := streams[rng.IntN(len(streams))], rng.IntN(blocksPerStream)
-					start := time.Now()
-					got, traceID, err := call(client, http.MethodGet, blockURL(ts.URL, s.id, b), s.tenant, nil, http.StatusOK)
-					if err != nil {
-						return err
-					}
-					samples[r] = append(samples[r], readSample{time.Since(start), traceID})
-					if !bytes.Equal(got, s.dec[b*blockBytes:(b+1)*blockBytes]) {
-						return fmt.Errorf("%s/%s block %d: served bytes differ from the serial decode", s.tenant, s.id, b)
-					}
-					if traceID == "" {
-						return fmt.Errorf("%s/%s block %d: response has no traceparent", s.tenant, s.id, b)
-					}
-				}
-				return nil
-			})
+			all := runConcurrentTraffic(t, ts, streams, blockBytes)
 
 			// Each read is exactly one cache lookup, and each miss one
 			// fill.
@@ -217,7 +247,6 @@ func TestConcurrentTenants(t *testing.T) {
 			if spans <= len(retained) {
 				t.Errorf("%d spans in %d traces: want children under every root", spans, len(retained))
 			}
-			all := slices.Concat(samples...)
 			slices.SortFunc(all, func(a, b readSample) int { return cmp.Compare(b.d, a.d) })
 			for _, s := range all[:reads/100] {
 				if !retained[s.traceID] {
@@ -252,5 +281,79 @@ func TestConcurrentTenants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSlowestRequestsRetained runs TestConcurrentTenants' traffic under
+// the production trace configuration, DefaultConfig().Trace: every
+// request head-sampled, 1% kept at random, and a request kept for
+// latency when it ranks in its route's slowest 1% so far. For each
+// traced route, the request the server timed slowest (duration_us in
+// the JSON request log) must have a retained trace kept for latency,
+// and latency keeps must stay at most 5% of requests. Only the slowest
+// request per route is asserted exactly: the rule is online and judges
+// each request against the ones before it, so a slow read that comes
+// after slower ones can be dropped.
+func TestSlowestRequestsRetained(t *testing.T) {
+	codec := core.Defaults(4, 9, 1e-10)
+	streams := concurrentStreams(t, codec)
+	cfg := testConfig(t, codec, 2)
+	cfg.CacheBytes = 64 << 20
+	cfg.Tenants = map[string]TenantConfig{concurrentTenantNames[0]: {}, concurrentTenantNames[1]: {}}
+	cfg.Trace = DefaultConfig().Trace
+	var logs bytes.Buffer
+	srv, err := New(cfg, slog.New(slog.NewJSONHandler(&logs, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	runConcurrentTraffic(t, ts, streams, codec.BlockSize()*8)
+	ts.Close() // waits for the handlers, so every request is finished and logged
+
+	type logged struct {
+		Msg        string `json:"msg"`
+		Route      string `json:"http_route"`
+		TraceID    string `json:"trace_id"`
+		DurationUS int64  `json:"duration_us"`
+	}
+	slowest := make(map[string][]logged) // route → its requests with the largest duration_us
+	records := 0
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec logged
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("unparseable log line %q: %v", line, err)
+		}
+		if rec.Msg != "request" {
+			continue
+		}
+		records++
+		switch cur := slowest[rec.Route]; {
+		case len(cur) == 0 || rec.DurationUS > cur[0].DurationUS:
+			slowest[rec.Route] = []logged{rec}
+		case rec.DurationUS == cur[0].DurationUS:
+			slowest[rec.Route] = append(cur, rec)
+		}
+	}
+	if records != requests {
+		t.Fatalf("request log has %d records, want %d", records, requests)
+	}
+
+	reasons := make(map[string]string) // trace ID → keep reason
+	for _, ft := range srv.tracer.Ring() {
+		reasons[ft.TraceID] = ft.KeepReason
+	}
+	for _, route := range []string{routeUpload, routeReadBlock} {
+		tied := slowest[route]
+		if len(tied) == 0 {
+			t.Fatalf("no %s request in the log", route)
+		}
+		if !slices.ContainsFunc(tied, func(r logged) bool { return reasons[r.TraceID] == trace.ReasonLatency }) {
+			t.Errorf("slowest %s (%d µs, trace %s) kept as %q, want %q",
+				route, tied[0].DurationUS, tied[0].TraceID, reasons[tied[0].TraceID], trace.ReasonLatency)
+		}
+	}
+	if n := srv.tracer.Stats().RetainedByReason[trace.ReasonLatency]; n*20 > requests {
+		t.Errorf("%d of %d requests kept for latency, want at most 5%%", n, requests)
 	}
 }

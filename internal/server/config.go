@@ -94,12 +94,8 @@ type TraceConfig struct {
 	// Unsampled requests still get trace IDs for log correlation; they
 	// just record no spans.
 	SampleRate float64 `json:"sample_rate"`
-	// LatencyThresholdMS is the tail-retention latency rule: finished
-	// traces at least this slow (milliseconds) are always retained.
-	// Zero disables the rule.
-	LatencyThresholdMS float64 `json:"latency_threshold_ms"`
 	// KeepFraction is the probability in [0, 1] that an unremarkable
-	// finished trace (no error, under the latency threshold, no
+	// finished trace (no error, not in its route's slowest 1%, no
 	// anomaly) is retained anyway, for baseline coverage.
 	KeepFraction float64 `json:"keep_fraction"`
 	// RingDepth bounds the retained-trace export ring (0 = 256).
@@ -143,8 +139,9 @@ type Config struct {
 // DefaultConfig returns the baked-in defaults: the paper's 4×9 ERI
 // geometry at the GAMESS 1e-10 bound, a 64 MiB cache, no tenants (the
 // config file must name at least one), and tracing with every request
-// head-sampled but only outliers retained: errors, requests over
-// 25 ms, flight-recorder anomalies, and a 1% random baseline.
+// head-sampled but only outliers retained: errors, requests in their
+// route's slowest 1% so far, flight-recorder anomalies, and a 1%
+// random baseline.
 func DefaultConfig() Config {
 	return Config{
 		Listen:            "127.0.0.1:9641",
@@ -153,9 +150,8 @@ func DefaultConfig() Config {
 		SBSize:            9,
 		DefaultErrorBound: 1e-10,
 		Trace: TraceConfig{
-			SampleRate:         1,
-			LatencyThresholdMS: 25,
-			KeepFraction:       0.01,
+			SampleRate:   1,
+			KeepFraction: 0.01,
 		},
 	}
 }
@@ -219,9 +215,6 @@ func (c Config) Validate() error {
 	}
 	if c.Trace.KeepFraction < 0 || c.Trace.KeepFraction > 1 {
 		return fmt.Errorf("server: config: trace.keep_fraction %g outside [0, 1]", c.Trace.KeepFraction)
-	}
-	if c.Trace.LatencyThresholdMS < 0 {
-		return fmt.Errorf("server: config: negative trace.latency_threshold_ms")
 	}
 	if c.Trace.RingDepth < 0 {
 		return fmt.Errorf("server: config: negative trace.ring_depth")
@@ -304,12 +297,11 @@ func (c Config) traceConfig() trace.Config {
 		}
 	}
 	return trace.Config{
-		SampleRate:       c.Trace.SampleRate,
-		TenantRates:      rates,
-		LatencyThreshold: time.Duration(c.Trace.LatencyThresholdMS * float64(time.Millisecond)),
-		KeepFraction:     c.Trace.KeepFraction,
-		RingDepth:        c.Trace.RingDepth,
-		MaxSpans:         c.Trace.MaxSpansPerTrace,
+		SampleRate:   c.Trace.SampleRate,
+		TenantRates:  rates,
+		KeepFraction: c.Trace.KeepFraction,
+		RingDepth:    c.Trace.RingDepth,
+		MaxSpans:     c.Trace.MaxSpansPerTrace,
 	}
 }
 

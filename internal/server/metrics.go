@@ -1,10 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,106 +42,85 @@ func quietRoute(route string) bool {
 	return false
 }
 
-// latencyBuckets are the fixed upper bounds (seconds) of the request
-// latency histogram. Fixed buckets keep the scrape shape stable across
-// runs, which is what lets the wire-protocol golden test pin the
+// latencyBuckets are the `le` edges at which /metrics exposes each
+// route's latency histogram. A fixed grid keeps the scrape shape stable
+// across runs, which is what lets the wire-protocol golden test pin the
 // series set.
-var latencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
+var latencyBuckets = [...]time.Duration{
+	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
+	time.Second, 2500 * time.Millisecond,
 }
 
-const latencyBucketCount = 12 // len(latencyBuckets) + the +Inf bucket
-
-// exemplar is one retained trace pinned to a histogram bucket, emitted
-// OpenMetrics-style so a dashboard can jump from a latency spike to
-// the exact trace that lives in /debug/traces.
-type exemplar struct {
-	traceID string
-	value   float64 // observed latency, seconds
-	tsUnix  float64 // observation time, unix seconds
-}
-
-// routeHist is one route's latency histogram: per-bucket counts (made
-// cumulative at exposition time) plus the most recent retained-trace
-// exemplar per bucket.
+// routeHist is one route's request latency histogram, in nanoseconds,
+// plus the most recent retained-trace exemplar per exposed edge (the
+// last one is +Inf). The exemplars are guarded by serverMetrics.mu.
 type routeHist struct {
-	counts    [latencyBucketCount]uint64
-	sum       float64
-	exemplars [latencyBucketCount]exemplar
+	hist      telemetry.Histogram
+	exemplars [len(latencyBuckets) + 1]telemetry.Exemplar
 }
 
-// latencyBucket returns the index of the first bucket holding sec.
-func latencyBucket(sec float64) int {
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			return i
-		}
-	}
-	return latencyBucketCount - 1 // +Inf
-}
-
-// tenantThresholds are one tenant's resolved slow-request cutoffs in
-// seconds, fixed at construction so the hot path compares two floats.
-type tenantThresholds struct {
-	readSec   float64
-	uploadSec float64
-}
-
-// tenantCounters are one tenant's SLO event counters plus read/upload
-// latency bucket counts (same bounds as the route histograms) for
-// quantile interpolation.
+// tenantCounters are one tenant's SLO event counters and its read and
+// upload latency histograms, in nanoseconds, whose counts are the
+// tenant's reads and uploads. readSec and uploadSec are the tenant's
+// slow-request thresholds in seconds, fixed at construction.
 type tenantCounters struct {
-	requests   uint64
-	errors     uint64 // 5xx responses
-	reads      uint64
-	readSlow   uint64
-	uploads    uint64
-	uploadSlow uint64
-	readHist   [latencyBucketCount]uint64
-	uploadHist [latencyBucketCount]uint64
+	readSec, uploadSec float64
+
+	requests   atomic.Uint64
+	errors     atomic.Uint64 // 5xx responses
+	readSlow   atomic.Uint64
+	uploadSlow atomic.Uint64
+	reads      telemetry.Histogram
+	uploads    telemetry.Histogram
 }
 
 // serverMetrics aggregates pastrid's request-level counters: requests
-// by route and status code, latency sums per route, the in-flight
-// gauge, and per-tenant SLO event counters. Mutex-guarded maps are
-// fine here — the critical sections are a few map updates, dwarfed by
-// the request work around them.
+// by route and status code, latency histograms per route, the
+// in-flight gauge, and per-tenant SLO event counters. The route and
+// tenant sets are fixed once the server's handlers are wrapped, and the
+// histograms and tenant counters are atomic; the mutex guards the
+// status-code map and the exemplars, a few updates per request.
 type serverMetrics struct {
 	inflight atomic.Int64
 
-	thresholds map[string]tenantThresholds // fixed at startup; read-only
+	tenants map[string]*tenantCounters // fixed at startup; read-only
 
 	mu       sync.Mutex
 	requests map[string]map[int]uint64 // route → status → count
-	durNS    map[string]uint64         // route → total ns
-	durCount map[string]uint64
-	hists    map[string]*routeHist      // route → latency histogram
-	tenants  map[string]*tenantCounters // tenant → SLO events
+	routes   map[string]*routeHist
 }
 
-func newServerMetrics(thresholds map[string]tenantThresholds) *serverMetrics {
+func newServerMetrics(tenants map[string]*tenantCounters) *serverMetrics {
 	return &serverMetrics{
-		thresholds: thresholds,
-		requests:   make(map[string]map[int]uint64),
-		durNS:      make(map[string]uint64),
-		durCount:   make(map[string]uint64),
-		hists:      make(map[string]*routeHist),
-		tenants:    make(map[string]*tenantCounters),
+		tenants:  tenants,
+		requests: make(map[string]map[int]uint64),
+		routes:   make(map[string]*routeHist),
 	}
 }
 
-// observe records one finished request. traceID and retained come from
-// the tracer: a request whose trace survived tail sampling stamps its
-// trace ID as the exemplar of the latency bucket it landed in, so the
-// exemplar always points at a trace that is actually in the ring.
-// tenant feeds the SLO event counters and is counted only for
-// configured tenants on non-quiet routes.
-func (m *serverMetrics) observe(route, tenant string, status int, d time.Duration, traceID string, retained bool) {
-	if d < 0 {
-		d = 0
+// route returns route's latency histogram, creating it on first use.
+func (m *serverMetrics) route(route string) *routeHist {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rh := m.routes[route]
+	if rh == nil {
+		rh = &routeHist{}
+		m.routes[route] = rh
 	}
-	sec := d.Seconds()
-	bkt := latencyBucket(sec)
+	return rh
+}
+
+// observe records one finished request in its route's histogram rh.
+// traceID and retained come from the tracer: a request whose trace
+// survived tail sampling stamps its trace ID as the exemplar of the
+// edge it falls under, so the exemplar always points at a trace that
+// is actually in the ring. tenant feeds the SLO event counters and is
+// counted only for configured tenants on non-quiet routes.
+func (m *serverMetrics) observe(rh *routeHist, route, tenant string, status int, d time.Duration, traceID string, retained bool) {
+	d = max(d, 0)
+	rh.hist.Observe(uint64(d))
 	m.mu.Lock()
 	byStatus := m.requests[route]
 	if byStatus == nil {
@@ -149,108 +128,51 @@ func (m *serverMetrics) observe(route, tenant string, status int, d time.Duratio
 		m.requests[route] = byStatus
 	}
 	byStatus[status]++
-	m.durNS[route] += uint64(d)
-	m.durCount[route]++
-	h := m.hists[route]
-	if h == nil {
-		h = &routeHist{}
-		m.hists[route] = h
-	}
-	h.counts[bkt]++
-	h.sum += sec
 	if retained && traceID != "" {
-		h.exemplars[bkt] = exemplar{
-			traceID: traceID,
-			value:   sec,
-			tsUnix:  float64(time.Now().UnixNano()) / 1e9,
+		edge := 0
+		for edge < len(latencyBuckets) && d > latencyBuckets[edge] {
+			edge++
 		}
-	}
-	if th, ok := m.thresholds[tenant]; ok && !quietRoute(route) {
-		tc := m.tenants[tenant]
-		if tc == nil {
-			tc = &tenantCounters{}
-			m.tenants[tenant] = tc
-		}
-		tc.requests++
-		if status >= 500 {
-			tc.errors++
-		}
-		switch route {
-		case routeReadBlock:
-			tc.reads++
-			tc.readHist[bkt]++
-			if sec > th.readSec { //lint:floatcmp-ok ordered comparison against a threshold, not equality
-				tc.readSlow++
-			}
-		case routeUpload:
-			tc.uploads++
-			tc.uploadHist[bkt]++
-			if sec > th.uploadSec { //lint:floatcmp-ok ordered comparison against a threshold, not equality
-				tc.uploadSlow++
-			}
+		rh.exemplars[edge] = telemetry.Exemplar{
+			TraceID: traceID,
+			Value:   d.Seconds(),
+			Unix:    float64(time.Now().UnixNano()) / 1e9,
 		}
 	}
 	m.mu.Unlock()
-}
-
-// tenantSnapshot copies one tenant's counters (zero value when the
-// tenant has no traffic yet).
-func (m *serverMetrics) tenantSnapshot(tenant string) tenantCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if tc := m.tenants[tenant]; tc != nil {
-		return *tc
+	tc := m.tenants[tenant]
+	if tc == nil || quietRoute(route) {
+		return
 	}
-	return tenantCounters{}
-}
-
-// bucketQuantile interpolates quantile q from fixed-bucket counts,
-// returning seconds. Within a bucket the distribution is assumed
-// uniform (the standard Prometheus histogram_quantile estimate); the
-// +Inf bucket clamps to the last finite bound.
-func bucketQuantile(counts *[latencyBucketCount]uint64, q float64) float64 {
-	var total uint64
-	for _, n := range counts {
-		total += n
+	tc.requests.Add(1)
+	if status >= 500 {
+		tc.errors.Add(1)
 	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, n := range counts {
-		prev := float64(cum)
-		cum += n
-		if float64(cum) >= rank {
-			if i >= len(latencyBuckets) {
-				return latencyBuckets[len(latencyBuckets)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBuckets[i-1]
-			}
-			hi := latencyBuckets[i]
-			if n == 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(rank-prev)/float64(n)
+	switch route {
+	case routeReadBlock:
+		tc.reads.Observe(uint64(d))
+		if d.Seconds() > tc.readSec {
+			tc.readSlow.Add(1)
+		}
+	case routeUpload:
+		tc.uploads.Observe(uint64(d))
+		if d.Seconds() > tc.uploadSec {
+			tc.uploadSlow.Add(1)
 		}
 	}
-	return latencyBuckets[len(latencyBuckets)-1]
 }
 
-// tenantQuantiles interpolates every tenant's read/upload p50/p99 (in
-// milliseconds) for the SLO report.
+// tenantQuantiles reads every tenant's read/upload p50/p99 (in
+// milliseconds) off its histograms for the SLO report.
 func (m *serverMetrics) tenantQuantiles() map[string]slo.Quantiles {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	ms := func(h *telemetry.Histogram, q float64) float64 { return float64(h.Quantile(q)) / 1e6 }
 	out := make(map[string]slo.Quantiles, len(m.tenants))
 	for t, tc := range m.tenants {
 		out[t] = slo.Quantiles{
-			ReadP50MS:   bucketQuantile(&tc.readHist, 0.50) * 1000,
-			ReadP99MS:   bucketQuantile(&tc.readHist, 0.99) * 1000,
-			UploadP50MS: bucketQuantile(&tc.uploadHist, 0.50) * 1000,
-			UploadP99MS: bucketQuantile(&tc.uploadHist, 0.99) * 1000,
+			ReadP50MS:   ms(&tc.reads, 0.50),
+			ReadP99MS:   ms(&tc.reads, 0.99),
+			UploadP50MS: ms(&tc.uploads, 0.50),
+			UploadP99MS: ms(&tc.uploads, 0.99),
 		}
 	}
 	return out
@@ -269,7 +191,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // families, tenant-labeled pipeline families, and Go runtime families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b promBuf
 
 	m := s.metrics
 	m.mu.Lock()
@@ -284,22 +205,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			reqs = append(reqs, reqSample{route, status, n})
 		}
 	}
-	type durSample struct {
-		route string
-		ns    uint64
-		n     uint64
-	}
-	var durs []durSample
-	for route, ns := range m.durNS {
-		durs = append(durs, durSample{route, ns, m.durCount[route]})
-	}
 	type histSample struct {
-		route string
-		hist  routeHist
+		route     string
+		hist      *telemetry.Histogram
+		exemplars [len(latencyBuckets) + 1]telemetry.Exemplar
 	}
 	var hists []histSample
-	for route, h := range m.hists {
-		hists = append(hists, histSample{route, *h})
+	for route, rh := range m.routes {
+		hists = append(hists, histSample{route, &rh.hist, rh.exemplars})
 	}
 	m.mu.Unlock()
 	sort.Slice(reqs, func(i, j int) bool {
@@ -308,105 +221,107 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return reqs[i].status < reqs[j].status
 	})
-	sort.Slice(durs, func(i, j int) bool { return durs[i].route < durs[j].route })
 	sort.Slice(hists, func(i, j int) bool { return hists[i].route < hists[j].route })
 
-	b.header("pastrid_requests_total", "HTTP requests by route and status.", "counter")
+	p := telemetry.NewPromWriter(w)
+	p.Header("pastrid_requests_total", "HTTP requests by route and status.", "counter")
 	for _, rs := range reqs {
-		b.line(`pastrid_requests_total{route=%q,code="%d"} %d`, rs.route, rs.status, rs.n)
+		p.Sample("pastrid_requests_total", float64(rs.n), "route", rs.route, "code", strconv.Itoa(rs.status))
 	}
-	b.header("pastrid_request_duration_seconds", "Request wall-clock time by route.", "summary")
-	for _, ds := range durs {
-		b.line(`pastrid_request_duration_seconds_sum{route=%q} %g`, ds.route, float64(ds.ns)/1e9)
-		b.line(`pastrid_request_duration_seconds_count{route=%q} %d`, ds.route, ds.n)
-	}
-	b.header("pastrid_request_latency_seconds", "Request latency histogram by route; exemplars carry retained trace IDs.", "histogram")
+	const latency = "pastrid_request_latency_seconds"
+	p.Header(latency, "Request latency histogram by route; exemplars carry retained trace IDs.", "histogram")
 	for _, hs := range hists {
-		var cum uint64
-		for i := 0; i < latencyBucketCount; i++ {
-			cum += hs.hist.counts[i]
-			le := "+Inf"
-			if i < len(latencyBuckets) {
-				le = fmt.Sprintf("%g", latencyBuckets[i])
-			}
-			if ex := hs.hist.exemplars[i]; ex.traceID != "" {
-				// OpenMetrics exemplar syntax: the trace that landed in
-				// this bucket and survived tail sampling.
-				b.line(`pastrid_request_latency_seconds_bucket{route=%q,le=%q} %d # {trace_id=%q} %g %.3f`,
-					hs.route, le, cum, ex.traceID, ex.value, ex.tsUnix)
-			} else {
-				b.line(`pastrid_request_latency_seconds_bucket{route=%q,le=%q} %d`, hs.route, le, cum)
-			}
+		// Taken after the exemplars were copied, the snapshot holds every
+		// request they name. A route appears once it has served one.
+		snap := hs.hist.Snapshot()
+		if snap.Count == 0 {
+			continue
 		}
-		b.line(`pastrid_request_latency_seconds_sum{route=%q} %g`, hs.route, hs.hist.sum)
-		b.line(`pastrid_request_latency_seconds_count{route=%q} %d`, hs.route, cum)
+		// Each edge counts the histogram buckets that lie wholly at or
+		// below it, so it misses only the observations in the one bucket
+		// (at most 6.25% wide) that straddles the edge.
+		var cum uint64
+		b := snap.Buckets
+		for i, edge := range latencyBuckets {
+			for len(b) > 0 && b[0].Le <= uint64(edge) {
+				cum += b[0].N
+				b = b[1:]
+			}
+			p.SampleExemplar(latency+"_bucket", float64(cum), hs.exemplars[i],
+				"route", hs.route, "le", strconv.FormatFloat(edge.Seconds(), 'g', -1, 64))
+		}
+		for _, bk := range b {
+			cum += bk.N
+		}
+		p.SampleExemplar(latency+"_bucket", float64(cum), hs.exemplars[len(latencyBuckets)],
+			"route", hs.route, "le", "+Inf")
+		p.Sample(latency+"_sum", float64(snap.Sum)/1e9, "route", hs.route)
+		p.Sample(latency+"_count", float64(cum), "route", hs.route)
 	}
-	b.header("pastrid_inflight_requests", "Requests currently being served.", "gauge")
-	b.line("pastrid_inflight_requests %d", m.inflight.Load())
+	p.Header("pastrid_inflight_requests", "Requests currently being served.", "gauge")
+	p.Sample("pastrid_inflight_requests", float64(m.inflight.Load()))
 
 	ts := s.tracer.Stats()
-	b.header("pastrid_traces_started_total", "Requests that entered the tracer (sampled or not).", "counter")
-	b.line("pastrid_traces_started_total %d", ts.TracesStarted)
-	b.header("pastrid_traces_sampled_total", "Requests head-sampled into span recording.", "counter")
-	b.line("pastrid_traces_sampled_total %d", ts.TracesSampled)
-	b.header("pastrid_traces_retained_total", "Finished traces kept by tail sampling, by reason.", "counter")
+	p.Header("pastrid_traces_started_total", "Requests that entered the tracer (sampled or not).", "counter")
+	p.Sample("pastrid_traces_started_total", float64(ts.TracesStarted))
+	p.Header("pastrid_traces_sampled_total", "Requests head-sampled into span recording.", "counter")
+	p.Sample("pastrid_traces_sampled_total", float64(ts.TracesSampled))
+	p.Header("pastrid_traces_retained_total", "Finished traces kept by tail sampling, by reason.", "counter")
 	for _, reason := range trace.KeepReasons {
-		b.line(`pastrid_traces_retained_total{reason=%q} %d`, reason, ts.RetainedByReason[reason])
+		p.Sample("pastrid_traces_retained_total", float64(ts.RetainedByReason[reason]), "reason", reason)
 	}
-	b.header("pastrid_trace_spans_total", "Spans recorded across sampled traces.", "counter")
-	b.line("pastrid_trace_spans_total %d", ts.SpansStarted)
-	b.header("pastrid_trace_spans_dropped_total", "Spans dropped by the per-trace span cap.", "counter")
-	b.line("pastrid_trace_spans_dropped_total %d", ts.SpansDropped)
-	b.header("pastrid_trace_ring_traces", "Retained traces resident in the export ring.", "gauge")
-	b.line("pastrid_trace_ring_traces %d", ts.RingTraces)
+	p.Header("pastrid_trace_spans_total", "Spans recorded across sampled traces.", "counter")
+	p.Sample("pastrid_trace_spans_total", float64(ts.SpansStarted))
+	p.Header("pastrid_trace_spans_dropped_total", "Spans dropped by the per-trace span cap.", "counter")
+	p.Sample("pastrid_trace_spans_dropped_total", float64(ts.SpansDropped))
+	p.Header("pastrid_trace_ring_traces", "Retained traces resident in the export ring.", "gauge")
+	p.Sample("pastrid_trace_ring_traces", float64(ts.RingTraces))
 
 	cs := s.cache.Stats()
-	b.header("pastrid_cache_hits_total", "Block cache hits.", "counter")
-	b.line("pastrid_cache_hits_total %d", cs.Hits)
-	b.header("pastrid_cache_misses_total", "Block cache misses.", "counter")
-	b.line("pastrid_cache_misses_total %d", cs.Misses)
-	b.header("pastrid_cache_fills_total", "Block cache fills (post-dedup decode count).", "counter")
-	b.line("pastrid_cache_fills_total %d", cs.Fills)
-	b.header("pastrid_cache_dedup_waits_total", "Reads coalesced onto another reader's in-flight fill.", "counter")
-	b.line("pastrid_cache_dedup_waits_total %d", cs.DedupWaits)
-	b.header("pastrid_cache_evictions_total", "Blocks evicted from the cache.", "counter")
-	b.line("pastrid_cache_evictions_total %d", cs.Evictions)
-	b.header("pastrid_cache_entries", "Blocks resident in the cache.", "gauge")
-	b.line("pastrid_cache_entries %d", cs.Entries)
-	b.header("pastrid_cache_bytes", "Decoded bytes resident in the cache.", "gauge")
-	b.line("pastrid_cache_bytes %d", cs.Bytes)
+	p.Header("pastrid_cache_hits_total", "Block cache hits.", "counter")
+	p.Sample("pastrid_cache_hits_total", float64(cs.Hits))
+	p.Header("pastrid_cache_misses_total", "Block cache misses.", "counter")
+	p.Sample("pastrid_cache_misses_total", float64(cs.Misses))
+	p.Header("pastrid_cache_fills_total", "Block cache fills (post-dedup decode count).", "counter")
+	p.Sample("pastrid_cache_fills_total", float64(cs.Fills))
+	p.Header("pastrid_cache_dedup_waits_total", "Reads coalesced onto another reader's in-flight fill.", "counter")
+	p.Sample("pastrid_cache_dedup_waits_total", float64(cs.DedupWaits))
+	p.Header("pastrid_cache_evictions_total", "Blocks evicted from the cache.", "counter")
+	p.Sample("pastrid_cache_evictions_total", float64(cs.Evictions))
+	p.Header("pastrid_cache_entries", "Blocks resident in the cache.", "gauge")
+	p.Sample("pastrid_cache_entries", float64(cs.Entries))
+	p.Header("pastrid_cache_bytes", "Decoded bytes resident in the cache.", "gauge")
+	p.Sample("pastrid_cache_bytes", float64(cs.Bytes))
 
-	b.header("pastrid_tenant_store_bytes", "Committed store bytes per tenant.", "gauge")
+	p.Header("pastrid_tenant_store_bytes", "Committed store bytes per tenant.", "gauge")
 	for _, t := range s.cfg.tenantNames() {
-		b.line(`pastrid_tenant_store_bytes{tenant=%q} %d`, t, s.st.Usage(t))
+		p.Sample("pastrid_tenant_store_bytes", float64(s.st.Usage(t)), "tenant", t)
 	}
 
 	// Process identity: start time + uptime make rate() sane across
 	// restarts, and build_info pins what binary produced the scrape.
-	b.header("process_start_time_seconds", "Unix time the process started.", "gauge")
-	b.line("process_start_time_seconds %d", processStart.Unix())
-	b.header("pastrid_uptime_seconds", "Seconds since process start.", "gauge")
-	b.line("pastrid_uptime_seconds %g", time.Since(processStart).Seconds())
-	b.header("pastrid_build_info", "Build metadata; value is always 1.", "gauge")
-	b.line(`pastrid_build_info{version=%q,go_version=%q} 1`, Version, runtime.Version())
+	p.Header("process_start_time_seconds", "Unix time the process started.", "gauge")
+	p.Sample("process_start_time_seconds", float64(processStart.Unix()))
+	p.Header("pastrid_uptime_seconds", "Seconds since process start.", "gauge")
+	p.Sample("pastrid_uptime_seconds", time.Since(processStart).Seconds())
+	p.Header("pastrid_build_info", "Build metadata; value is always 1.", "gauge")
+	p.Sample("pastrid_build_info", 1, "version", Version, "go_version", runtime.Version())
 
 	if s.profiles != nil {
 		ps := s.profiles.Stats()
-		b.header("pastrid_profile_captures_total", "Profiles captured into the profile ring.", "counter")
-		b.line("pastrid_profile_captures_total %d", ps.Captures)
-		b.header("pastrid_profile_skipped_total", "Profile captures skipped (CPU profiler busy or failed).", "counter")
-		b.line("pastrid_profile_skipped_total %d", ps.Skipped)
-		b.header("pastrid_profile_pruned_total", "Profiles pruned from the ring.", "counter")
-		b.line("pastrid_profile_pruned_total %d", ps.Pruned)
-		b.header("pastrid_profile_ring_entries", "Profiles resident in the ring.", "gauge")
-		b.line("pastrid_profile_ring_entries %d", ps.Entries)
-		b.header("pastrid_profile_ring_bytes", "Bytes of profiles resident in the ring.", "gauge")
-		b.line("pastrid_profile_ring_bytes %d", ps.Bytes)
+		p.Header("pastrid_profile_captures_total", "Profiles captured into the profile ring.", "counter")
+		p.Sample("pastrid_profile_captures_total", float64(ps.Captures))
+		p.Header("pastrid_profile_skipped_total", "Profile captures skipped (CPU profiler busy or failed).", "counter")
+		p.Sample("pastrid_profile_skipped_total", float64(ps.Skipped))
+		p.Header("pastrid_profile_pruned_total", "Profiles pruned from the ring.", "counter")
+		p.Sample("pastrid_profile_pruned_total", float64(ps.Pruned))
+		p.Header("pastrid_profile_ring_entries", "Profiles resident in the ring.", "gauge")
+		p.Sample("pastrid_profile_ring_entries", float64(ps.Entries))
+		p.Header("pastrid_profile_ring_bytes", "Bytes of profiles resident in the ring.", "gauge")
+		p.Sample("pastrid_profile_ring_bytes", float64(ps.Bytes))
 	}
-	b.header("pastrid_history_samples", "Samples resident in the metrics history ring.", "gauge")
-	b.line("pastrid_history_samples %d", s.history.Len())
-
-	w.Write(b.buf) //lint:errdrop-ok scrape write; a failed scrape only hurts the departed scraper
+	p.Header("pastrid_history_samples", "Samples resident in the metrics history ring.", "gauge")
+	p.Sample("pastrid_history_samples", float64(s.history.Len()))
 
 	// The SLO families come from the most recent evaluation (sampler or
 	// /debug/slo hit); before the first evaluation they are absent.
@@ -423,14 +338,3 @@ var processStart = time.Now()
 // Version identifies the build in pastrid_build_info; override with
 // -ldflags "-X repro/internal/server.Version=v1.2.3".
 var Version = "dev"
-
-// promBuf accumulates exposition lines for the server families.
-type promBuf struct{ buf []byte }
-
-func (b *promBuf) header(name, help, typ string) {
-	b.buf = fmt.Appendf(b.buf, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (b *promBuf) line(format string, args ...any) {
-	b.buf = fmt.Appendf(b.buf, format+"\n", args...)
-}

@@ -115,13 +115,13 @@ func (s *Server) captureSample(now time.Time) tsdb.Sample {
 	sample := tsdb.NewSample(now)
 
 	for tenant, col := range s.collectors {
-		tc := s.metrics.tenantSnapshot(tenant)
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyRequestsTotal), float64(tc.requests))
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyErrorsTotal), float64(tc.errors))
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyReadsTotal), float64(tc.reads))
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyReadSlowTotal), float64(tc.readSlow))
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyUploadsTotal), float64(tc.uploads))
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyUploadSlowTotal), float64(tc.uploadSlow))
+		tc := s.metrics.tenants[tenant]
+		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyRequestsTotal), float64(tc.requests.Load()))
+		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyErrorsTotal), float64(tc.errors.Load()))
+		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyReadsTotal), float64(tc.reads.Count()))
+		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyReadSlowTotal), float64(tc.readSlow.Load()))
+		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyUploadsTotal), float64(tc.uploads.Count()))
+		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyUploadSlowTotal), float64(tc.uploadSlow.Load()))
 
 		snap := col.Snapshot()
 		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyBlocksTotal), float64(snap.Blocks))

@@ -94,10 +94,10 @@ func New(cfg Config, logger *slog.Logger) (*Server, error) {
 		return nil, err
 	}
 	engine := slo.New(cfg.sloEngineConfig())
-	thresholds := make(map[string]tenantThresholds, len(cfg.Tenants))
+	tenants := make(map[string]*tenantCounters, len(cfg.Tenants))
 	for t := range cfg.Tenants {
 		obj := engine.ObjectivesFor(t)
-		thresholds[t] = tenantThresholds{
+		tenants[t] = &tenantCounters{
 			readSec:   obj.ReadP99MS / 1000,
 			uploadSec: obj.UploadP99MS / 1000,
 		}
@@ -113,7 +113,7 @@ func New(cfg Config, logger *slog.Logger) (*Server, error) {
 		cache:      blockcache.New(cfg.CacheBytes, cfg.cacheCaps()),
 		log:        logger,
 		collectors: make(map[string]*telemetry.Collector, len(cfg.Tenants)),
-		metrics:    newServerMetrics(thresholds),
+		metrics:    newServerMetrics(tenants),
 		tracer:     trace.New(cfg.traceConfig()),
 		sloEngine:  engine,
 		history:    tsdb.NewRing(cfg.SLO.HistoryDepth),
@@ -316,9 +316,11 @@ func anomalyTotal(col *telemetry.Collector) uint64 {
 // request's root trace span, and pprof goroutine labels. Quiet routes
 // (scrapes, probes, debug exports) are never traced or labeled — a
 // scraper polling /debug/traces must not push real traces out of the
-// ring, and probe CPU must not pollute tenant attribution.
+// ring, and probe CPU must not pollute tenant attribution. A traced
+// request in its route's slowest 1% so far is kept for latency.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	traced := !quietRoute(route)
+	rh := s.metrics.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -364,12 +366,17 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			if sw.status >= 500 {
 				root.SetError(fmt.Errorf("http status %d", sw.status))
 			}
-			if root.Recording() && anomalyTotal(s.collectors[tenant]) > preAnomalies {
-				root.ForceKeep(trace.ReasonAnomaly)
+			if root.Recording() {
+				if anomalyTotal(s.collectors[tenant]) > preAnomalies {
+					root.ForceKeep(trace.ReasonAnomaly)
+				}
+				if rh.hist.InSlowest1Pct(uint64(elapsed)) {
+					root.ForceKeep(trace.ReasonLatency)
+				}
 			}
 			retained, _ = s.tracer.FinishRequest(root)
 		}
-		s.metrics.observe(route, tenant, sw.status, elapsed, traceID, retained)
+		s.metrics.observe(rh, route, tenant, sw.status, elapsed, traceID, retained)
 		if quietRoute(route) {
 			return // scrapes and probes would drown the request log
 		}

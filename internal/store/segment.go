@@ -8,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/telemetry/trace"
 )
@@ -129,24 +128,18 @@ func parseIndex(idx []byte) (segLen uint64, segCRC uint32, blocks []blockLoc, er
 
 // Segment is an open, validated stream: an os.File served by ReadAt
 // plus the decoded block index. All methods are safe for concurrent
-// use; decoders and payload buffers are pooled per segment.
+// use. Blocks decode through core's shared decoder pool, with payload
+// scratch from payloadBufs, so an open segment holds no decoder.
 type Segment struct {
 	tenant, id string
 	f          *os.File
 	cfg        core.Config
 	size       int64
 	blocks     []blockLoc
-
-	decs sync.Pool // *segDecoder
-	bufs sync.Pool // *[]byte payload scratch
 }
 
-// segDecoder bundles a block decoder with its bit reader so one pool
-// Get yields a ready decode context.
-type segDecoder struct {
-	dec *core.BlockDecoder
-	r   *bitio.Reader
-}
+// payloadBufs recycles block payload scratch across every segment.
+var payloadBufs sync.Pool // *[]byte
 
 // openSegment validates the (segment, index) pair: index checksum and
 // bounds, segment size and whole-file CRC, and a parseable stream
@@ -259,12 +252,12 @@ func (g *Segment) ReadBlock(b int, dst []float64, parent *trace.Span) error {
 		return fmt.Errorf("store: destination has %d values, block has %d", len(dst), g.cfg.BlockSize())
 	}
 	loc := g.blocks[b]
-	bufp, _ := g.bufs.Get().(*[]byte)
+	bufp, _ := payloadBufs.Get().(*[]byte)
 	if bufp == nil || cap(*bufp) < int(loc.n) {
 		buf := make([]byte, loc.n)
 		bufp = &buf
 	}
-	defer g.bufs.Put(bufp)
+	defer payloadBufs.Put(bufp)
 	buf := (*bufp)[:loc.n]
 	rsp := parent.StartChild("store.read_at")
 	_, err := g.f.ReadAt(buf, int64(loc.off))
@@ -276,18 +269,8 @@ func (g *Segment) ReadBlock(b int, dst []float64, parent *trace.Span) error {
 		return fmt.Errorf("store: block %d checksum mismatch (got %08x, recorded %08x): %w",
 			b, got, loc.crc, ErrCorrupt)
 	}
-	sd, _ := g.decs.Get().(*segDecoder)
-	if sd == nil {
-		dec, err := core.NewBlockDecoder(g.cfg)
-		if err != nil {
-			return fmt.Errorf("store: block decoder: %v: %w", err, ErrCorrupt)
-		}
-		sd = &segDecoder{dec: dec, r: bitio.NewReader(nil)}
-	}
-	defer g.decs.Put(sd)
-	sd.r.Reset(buf)
 	dsp := parent.StartChild("store.decode")
-	err = sd.dec.DecodeBlock(sd.r, dst)
+	err = core.DecodeBlockBytes(g.cfg, buf, dst)
 	dsp.End()
 	if err != nil {
 		return fmt.Errorf("store: decoding block %d: %v: %w", b, err, ErrCorrupt)

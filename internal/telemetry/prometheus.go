@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,28 +20,47 @@ import (
 // surface: rendering walks the same atomics Snapshot does, so a
 // scrape costs the pipeline nothing between scrapes.
 
-// promWriter accumulates exposition lines and remembers the first
-// write error so the per-family emitters stay unconditional.
-type promWriter struct {
+// A PromWriter emits Prometheus text-format lines and remembers the
+// first write error, so the per-family emitters stay unconditional. It
+// is the module's one exposition writer: the collector, the tenant and
+// SLO families and pastrid's own families all render through it.
+type PromWriter struct {
 	w   io.Writer
 	err error
 }
 
-func (p *promWriter) printf(format string, args ...any) {
+// NewPromWriter returns a PromWriter that writes to w.
+func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
+
+// Err returns the first write error, or nil.
+func (p *PromWriter) Err() error { return p.err }
+
+// Header emits the HELP/TYPE preamble for one metric family.
+func (p *PromWriter) Header(name, help, typ string) {
 	if p.err != nil {
 		return
 	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
+	_, p.err = fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// header emits the HELP/TYPE preamble for one metric family.
-func (p *promWriter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// sample emits one sample line. labels come as alternating key, value
+// Sample emits one sample line. labels come as alternating key, value
 // pairs and are rendered in the given order.
-func (p *promWriter) sample(name string, value float64, labels ...string) {
+func (p *PromWriter) Sample(name string, value float64, labels ...string) {
+	p.SampleExemplar(name, value, Exemplar{}, labels...)
+}
+
+// An Exemplar pins one retained trace to a sample, OpenMetrics-style,
+// so a dashboard can jump from a histogram bucket to a trace that
+// landed in it. The zero Exemplar is none.
+type Exemplar struct {
+	TraceID string
+	Value   float64 // the observed value
+	Unix    float64 // observation time, unix seconds
+}
+
+// SampleExemplar is Sample with ex appended to the line when it names
+// a trace.
+func (p *PromWriter) SampleExemplar(name string, value float64, ex Exemplar, labels ...string) {
 	if p.err != nil {
 		return
 	}
@@ -63,6 +81,14 @@ func (p *promWriter) sample(name string, value float64, labels ...string) {
 	}
 	sb.WriteByte(' ')
 	sb.WriteString(formatValue(value))
+	if ex.TraceID != "" {
+		sb.WriteString(` # {trace_id="`)
+		sb.WriteString(escapeLabel(ex.TraceID))
+		sb.WriteString(`"} `)
+		sb.WriteString(formatValue(ex.Value))
+		sb.WriteByte(' ')
+		sb.WriteString(strconv.FormatFloat(ex.Unix, 'f', 3, 64))
+	}
 	sb.WriteByte('\n')
 	_, p.err = io.WriteString(p.w, sb.String())
 }
@@ -72,6 +98,8 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
+// formatValue renders a sample value. Magnitudes in [1, 1e21) are
+// written without an exponent, so integer counters print as integers.
 func formatValue(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -81,6 +109,9 @@ func formatValue(v float64) string {
 	case math.IsNaN(v):
 		return "NaN"
 	}
+	if a := math.Abs(v); a >= 1 && a < 1e21 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
@@ -89,36 +120,36 @@ func formatValue(v float64) string {
 // writes only the runtime families, so a /metrics endpoint stays
 // scrapeable before a pipeline has attached its collector.
 func (c *Collector) WritePrometheus(w io.Writer) error {
-	p := &promWriter{w: w}
+	p := NewPromWriter(w)
 	if c != nil {
 		c.writePipelineMetrics(p)
 	}
 	writeRuntimeMetrics(p)
-	return p.err
+	return p.Err()
 }
 
-func (c *Collector) writePipelineMetrics(p *promWriter) {
-	p.header("pastri_blocks_total", "Blocks compressed.", "counter")
-	p.sample("pastri_blocks_total", float64(c.blocks.Load()))
-	p.header("pastri_bytes_in_total", "Raw bytes entering compression.", "counter")
-	p.sample("pastri_bytes_in_total", float64(c.bytesIn.Load()))
-	p.header("pastri_bytes_out_payload_total", "Compressed block payload bytes produced.", "counter")
-	p.sample("pastri_bytes_out_payload_total", float64(c.bytesPayload.Load()))
-	p.header("pastri_bytes_out_framing_total", "Stream and container framing bytes produced.", "counter")
-	p.sample("pastri_bytes_out_framing_total", float64(c.bytesFraming.Load()))
+func (c *Collector) writePipelineMetrics(p *PromWriter) {
+	p.Header("pastri_blocks_total", "Blocks compressed.", "counter")
+	p.Sample("pastri_blocks_total", float64(c.blocks.Load()))
+	p.Header("pastri_bytes_in_total", "Raw bytes entering compression.", "counter")
+	p.Sample("pastri_bytes_in_total", float64(c.bytesIn.Load()))
+	p.Header("pastri_bytes_out_payload_total", "Compressed block payload bytes produced.", "counter")
+	p.Sample("pastri_bytes_out_payload_total", float64(c.bytesPayload.Load()))
+	p.Header("pastri_bytes_out_framing_total", "Stream and container framing bytes produced.", "counter")
+	p.Sample("pastri_bytes_out_framing_total", float64(c.bytesFraming.Load()))
 
-	p.header("pastri_blocks_encoded_total", "Blocks per chosen ECQ encoding.", "counter")
+	p.Header("pastri_blocks_encoded_total", "Blocks per chosen ECQ encoding.", "counter")
 	for e := BlockEncoding(0); e < numBlockEncodings; e++ {
-		p.sample("pastri_blocks_encoded_total", float64(c.enc[e].Load()), "encoding", e.String())
+		p.Sample("pastri_blocks_encoded_total", float64(c.enc[e].Load()), "encoding", e.String())
 	}
 
 	writeHistogram(p, "pastri_block_payload_bytes",
-		"Compressed payload size per block.", c.blockBytes.Snapshot(), 1, nil)
+		"Compressed payload size per block.", c.blockBytes.Snapshot(), nil)
 
 	// Stage timers: a summary (sum/count) per stage, min/max gauges,
-	// and the power-of-two latency histogram as cumulative buckets.
+	// and the log-linear latency histogram as cumulative buckets.
 	// Durations are exported in seconds per Prometheus convention.
-	p.header("pastri_stage_duration_seconds", "Wall-clock time per pipeline stage.", "summary")
+	p.Header("pastri_stage_duration_seconds", "Wall-clock time per pipeline stage.", "summary")
 	type stageView struct {
 		name string
 		rec  *stageRec
@@ -131,104 +162,102 @@ func (c *Collector) writePipelineMetrics(p *promWriter) {
 		stages = append(stages, stageView{st.String(), &c.stages[st]})
 	}
 	for _, sv := range stages {
-		p.sample("pastri_stage_duration_seconds_sum", float64(sv.rec.total.Load())/1e9, "stage", sv.name)
-		p.sample("pastri_stage_duration_seconds_count", float64(sv.rec.count.Load()), "stage", sv.name)
+		p.Sample("pastri_stage_duration_seconds_sum", float64(sv.rec.total.Load())/1e9, "stage", sv.name)
+		p.Sample("pastri_stage_duration_seconds_count", float64(sv.rec.count.Load()), "stage", sv.name)
 	}
-	p.header("pastri_stage_duration_min_seconds", "Fastest observation per pipeline stage.", "gauge")
+	p.Header("pastri_stage_duration_min_seconds", "Fastest observation per pipeline stage.", "gauge")
 	for _, sv := range stages {
 		minNS := uint64(0)
 		if m := sv.rec.min.Load(); m > 0 {
 			minNS = m - 1
 		}
-		p.sample("pastri_stage_duration_min_seconds", float64(minNS)/1e9, "stage", sv.name)
+		p.Sample("pastri_stage_duration_min_seconds", float64(minNS)/1e9, "stage", sv.name)
 	}
-	p.header("pastri_stage_duration_max_seconds", "Slowest observation per pipeline stage.", "gauge")
+	p.Header("pastri_stage_duration_max_seconds", "Slowest observation per pipeline stage.", "gauge")
 	for _, sv := range stages {
-		p.sample("pastri_stage_duration_max_seconds", float64(sv.rec.max.Load())/1e9, "stage", sv.name)
+		p.Sample("pastri_stage_duration_max_seconds", float64(sv.rec.max.Load())/1e9, "stage", sv.name)
 	}
 	if len(stages) > 0 {
 		// One family header, then each stage's bucket series — the format
 		// allows a single TYPE line per family.
-		p.header("pastri_stage_duration_ns", "Per-stage latency in nanoseconds, power-of-two buckets.", "histogram")
+		p.Header("pastri_stage_duration_ns", "Per-stage latency in nanoseconds, log-linear buckets.", "histogram")
 		for _, sv := range stages {
 			writeHistogramSeries(p, "pastri_stage_duration_ns",
-				sv.rec.hist.Snapshot(), 1, []string{"stage", sv.name})
+				sv.rec.hist.Snapshot(), []string{"stage", sv.name})
 		}
 	}
 
-	p.header("pastri_blocks_decoded_total", "Blocks decompressed.", "counter")
-	p.sample("pastri_blocks_decoded_total", float64(c.blocksDecoded.Load()))
-	p.header("pastri_decoded_bytes_in_total", "Compressed bytes consumed by decode.", "counter")
-	p.sample("pastri_decoded_bytes_in_total", float64(c.decodedBytesIn.Load()))
-	p.header("pastri_decoded_bytes_out_total", "Raw bytes produced by decode.", "counter")
-	p.sample("pastri_decoded_bytes_out_total", float64(c.decodedBytesOut.Load()))
+	p.Header("pastri_blocks_decoded_total", "Blocks decompressed.", "counter")
+	p.Sample("pastri_blocks_decoded_total", float64(c.blocksDecoded.Load()))
+	p.Header("pastri_decoded_bytes_in_total", "Compressed bytes consumed by decode.", "counter")
+	p.Sample("pastri_decoded_bytes_in_total", float64(c.decodedBytesIn.Load()))
+	p.Header("pastri_decoded_bytes_out_total", "Raw bytes produced by decode.", "counter")
+	p.Sample("pastri_decoded_bytes_out_total", float64(c.decodedBytesOut.Load()))
 
-	p.header("pastri_eb_violations_total", "Audited blocks that broke the absolute error bound.", "counter")
-	p.sample("pastri_eb_violations_total", float64(c.ebViolations.Load()))
+	p.Header("pastri_eb_violations_total", "Audited blocks that broke the absolute error bound.", "counter")
+	p.Sample("pastri_eb_violations_total", float64(c.ebViolations.Load()))
 
 	if fr := c.flight.Load(); fr != nil {
 		counts := fr.AnomalyCounts()
-		p.header("pastri_flight_anomalies_total", "Quality anomalies detected by the flight recorder.", "counter")
+		p.Header("pastri_flight_anomalies_total", "Quality anomalies detected by the flight recorder.", "counter")
 		for _, reason := range sortedReasons(counts) {
-			p.sample("pastri_flight_anomalies_total", float64(counts[reason]), "reason", reason)
+			p.Sample("pastri_flight_anomalies_total", float64(counts[reason]), "reason", reason)
 		}
-		p.header("pastri_flight_artifacts_total", "Flight-recorder artifact files written.", "counter")
-		p.sample("pastri_flight_artifacts_total", float64(len(fr.ArtifactPaths())))
+		p.Header("pastri_flight_artifacts_total", "Flight-recorder artifact files written.", "counter")
+		p.Sample("pastri_flight_artifacts_total", float64(len(fr.ArtifactPaths())))
 	}
 }
 
 // writeHistogram renders a HistogramSnapshot as a Prometheus histogram:
 // cumulative buckets by ascending le, a +Inf bucket, and _sum/_count.
-// The snapshot's buckets are per-bin counts with inclusive upper
-// bounds, which matches the exposition format's `le` semantics once
-// the counts are accumulated. scale multiplies bounds and sum (for
-// unit conversion); extra label pairs are appended to every sample.
-func writeHistogram(p *promWriter, name, help string, h HistogramSnapshot, scale float64, labels []string) {
-	p.header(name, help, "histogram")
-	writeHistogramSeries(p, name, h, scale, labels)
+// The snapshot's buckets are per-bucket counts with inclusive upper
+// bounds in ascending order, which matches the exposition format's
+// `le` semantics once the counts are accumulated. Extra label pairs are
+// appended to every sample.
+func writeHistogram(p *PromWriter, name, help string, h HistogramSnapshot, labels []string) {
+	p.Header(name, help, "histogram")
+	writeHistogramSeries(p, name, h, labels)
 }
 
 // writeHistogramSeries emits one labeled bucket/_sum/_count series
 // without the family header, for families with several label sets.
-func writeHistogramSeries(p *promWriter, name string, h HistogramSnapshot, scale float64, labels []string) {
-	sorted := append([]Bucket(nil), h.Buckets...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Le < sorted[j].Le })
+func writeHistogramSeries(p *PromWriter, name string, h HistogramSnapshot, labels []string) {
 	cum := uint64(0)
-	for _, b := range sorted {
+	for _, b := range h.Buckets {
 		if b.Le == math.MaxUint64 {
-			// The top power-of-two bin is an "everything else" catch-all;
-			// it folds into the +Inf bucket below.
+			// The top bucket ends at MaxUint64; it folds into the +Inf
+			// bucket below.
 			continue
 		}
 		cum += b.N
-		p.sample(name+"_bucket", float64(cum),
-			append(append([]string(nil), labels...), "le", formatValue(float64(b.Le)*scale))...)
+		p.Sample(name+"_bucket", float64(cum),
+			append(append([]string(nil), labels...), "le", formatValue(float64(b.Le)))...)
 	}
-	p.sample(name+"_bucket", float64(h.Count),
+	p.Sample(name+"_bucket", float64(h.Count),
 		append(append([]string(nil), labels...), "le", "+Inf")...)
-	p.sample(name+"_sum", float64(h.Sum)*scale, labels...)
-	p.sample(name+"_count", float64(h.Count), labels...)
+	p.Sample(name+"_sum", float64(h.Sum), labels...)
+	p.Sample(name+"_count", float64(h.Count), labels...)
 }
 
-func writeRuntimeMetrics(p *promWriter) {
+func writeRuntimeMetrics(p *PromWriter) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	p.header("go_goroutines", "Live goroutines.", "gauge")
-	p.sample("go_goroutines", float64(runtime.NumGoroutine()))
-	p.header("go_gc_cycles_total", "Completed GC cycles.", "counter")
-	p.sample("go_gc_cycles_total", float64(m.NumGC))
-	p.header("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge")
-	p.sample("go_memstats_heap_alloc_bytes", float64(m.HeapAlloc))
-	p.header("go_memstats_heap_objects", "Number of allocated heap objects.", "gauge")
-	p.sample("go_memstats_heap_objects", float64(m.HeapObjects))
-	p.header("go_memstats_sys_bytes", "Bytes obtained from the OS.", "gauge")
-	p.sample("go_memstats_sys_bytes", float64(m.Sys))
-	p.header("go_memstats_alloc_bytes_total", "Cumulative bytes allocated.", "counter")
-	p.sample("go_memstats_alloc_bytes_total", float64(m.TotalAlloc))
-	p.header("go_memstats_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter")
-	p.sample("go_memstats_gc_pause_seconds_total", float64(m.PauseTotalNs)/1e9)
-	p.header("go_memstats_gc_cpu_fraction", "Fraction of CPU time spent in GC.", "gauge")
-	p.sample("go_memstats_gc_cpu_fraction", m.GCCPUFraction)
+	p.Header("go_goroutines", "Live goroutines.", "gauge")
+	p.Sample("go_goroutines", float64(runtime.NumGoroutine()))
+	p.Header("go_gc_cycles_total", "Completed GC cycles.", "counter")
+	p.Sample("go_gc_cycles_total", float64(m.NumGC))
+	p.Header("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge")
+	p.Sample("go_memstats_heap_alloc_bytes", float64(m.HeapAlloc))
+	p.Header("go_memstats_heap_objects", "Number of allocated heap objects.", "gauge")
+	p.Sample("go_memstats_heap_objects", float64(m.HeapObjects))
+	p.Header("go_memstats_sys_bytes", "Bytes obtained from the OS.", "gauge")
+	p.Sample("go_memstats_sys_bytes", float64(m.Sys))
+	p.Header("go_memstats_alloc_bytes_total", "Cumulative bytes allocated.", "counter")
+	p.Sample("go_memstats_alloc_bytes_total", float64(m.TotalAlloc))
+	p.Header("go_memstats_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter")
+	p.Sample("go_memstats_gc_pause_seconds_total", float64(m.PauseTotalNs)/1e9)
+	p.Header("go_memstats_gc_cpu_fraction", "Fraction of CPU time spent in GC.", "gauge")
+	p.Sample("go_memstats_gc_cpu_fraction", m.GCCPUFraction)
 }
 
 // MetricsHandler serves Prometheus text format for whatever collector

@@ -16,13 +16,11 @@
 package slo
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/tsdb"
 )
 
@@ -167,9 +165,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Quantiles are a tenant's measured latency quantiles, interpolated by
-// the server from its bucket histograms and passed through into the
-// report for operators.
+// Quantiles are a tenant's measured latency quantiles, read by the
+// server off its latency histograms and passed through into the report
+// for operators.
 type Quantiles struct {
 	ReadP50MS   float64 `json:"read_p50_ms"`
 	ReadP99MS   float64 `json:"read_p99_ms"`
@@ -386,65 +384,28 @@ func WritePrometheus(w io.Writer, rep *Report) error {
 	if rep == nil {
 		return nil
 	}
-	ew := &expositionWriter{w: w}
+	p := telemetry.NewPromWriter(w)
 	names := rep.TenantNames()
 
-	ew.family(MetricState, "SLO burn state per tenant objective (0=ok 1=slow_burn 2=fast_burn).", "gauge")
+	p.Header(string(MetricState), "SLO burn state per tenant objective (0=ok 1=slow_burn 2=fast_burn).", "gauge")
 	for _, t := range names {
 		for _, os := range rep.Tenants[t].Objectives {
-			ew.sample(MetricState, os.State.Value(), "tenant", t, "objective", string(os.Objective))
+			p.Sample(string(MetricState), os.State.Value(), "tenant", t, "objective", string(os.Objective))
 		}
 	}
-	ew.family(MetricBurnRate, "Error-budget burn rate per tenant objective and window.", "gauge")
+	p.Header(string(MetricBurnRate), "Error-budget burn rate per tenant objective and window.", "gauge")
 	for _, t := range names {
 		for _, os := range rep.Tenants[t].Objectives {
-			ew.sample(MetricBurnRate, os.FastBurn, "tenant", t, "objective", string(os.Objective), "window", "fast")
-			ew.sample(MetricBurnRate, os.SlowBurn, "tenant", t, "objective", string(os.Objective), "window", "slow")
+			p.Sample(string(MetricBurnRate), os.FastBurn, "tenant", t, "objective", string(os.Objective), "window", "fast")
+			p.Sample(string(MetricBurnRate), os.SlowBurn, "tenant", t, "objective", string(os.Objective), "window", "slow")
 		}
 	}
-	ew.family(MetricEventsTotal, "Lifetime SLO events per tenant objective and outcome.", "counter")
+	p.Header(string(MetricEventsTotal), "Lifetime SLO events per tenant objective and outcome.", "counter")
 	for _, t := range names {
 		for _, os := range rep.Tenants[t].Objectives {
-			ew.sample(MetricEventsTotal, os.LifetimeGood, "tenant", t, "objective", string(os.Objective), "outcome", "good")
-			ew.sample(MetricEventsTotal, os.LifetimeBad, "tenant", t, "objective", string(os.Objective), "outcome", "bad")
+			p.Sample(string(MetricEventsTotal), os.LifetimeGood, "tenant", t, "objective", string(os.Objective), "outcome", "good")
+			p.Sample(string(MetricEventsTotal), os.LifetimeBad, "tenant", t, "objective", string(os.Objective), "outcome", "bad")
 		}
 	}
-	return ew.err
-}
-
-// expositionWriter is the package's own minimal Prometheus text
-// emitter (promWriter lives unexported in the parent package; the
-// format subset needed here is three fmt verbs).
-type expositionWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *expositionWriter) family(name MetricName, help, typ string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (e *expositionWriter) sample(name MetricName, v float64, labels ...string) {
-	if e.err != nil {
-		return
-	}
-	var sb strings.Builder
-	sb.WriteString(string(name))
-	sb.WriteByte('{')
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(labels[i])
-		sb.WriteString(`="`)
-		sb.WriteString(strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(labels[i+1]))
-		sb.WriteByte('"')
-	}
-	sb.WriteString("} ")
-	sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	sb.WriteByte('\n')
-	_, e.err = io.WriteString(e.w, sb.String())
+	return p.Err()
 }

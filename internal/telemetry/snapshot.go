@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
-	"math"
 )
 
 // Snapshots are pull-based: the Collector's hot paths only bump
@@ -11,8 +10,9 @@ import (
 // on demand. See DESIGN.md ("Observability") for why the pipeline does
 // not push per-event callbacks.
 
-// Bucket is one histogram bucket in a snapshot: N observations with
-// value ≤ Le (inclusive upper bound; buckets are powers of two).
+// Bucket is one histogram bucket in a snapshot: N observations, each
+// at most Le, the bucket's inclusive upper bound, and above the upper
+// bound of the bucket just below it in the histogram.
 type Bucket struct {
 	Le uint64 `json:"le"`
 	N  uint64 `json:"n"`
@@ -30,15 +30,9 @@ type HistogramSnapshot struct {
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 	for b := range h.buckets {
-		n := h.buckets[b].Load()
-		if n == 0 {
-			continue
+		if n := h.buckets[b].Load(); n > 0 {
+			s.Buckets = append(s.Buckets, Bucket{Le: bucketMax(b), N: n})
 		}
-		le := uint64(math.MaxUint64)
-		if b < 64 {
-			le = uint64(1)<<b - 1
-		}
-		s.Buckets = append(s.Buckets, Bucket{Le: le, N: n})
 	}
 	return s
 }

@@ -1,6 +1,6 @@
 // Package telemetry is a dependency-free observability layer for the
-// PaSTRI compression pipeline: lock-free atomic counters, power-of-two
-// bucketed histograms, per-stage wall-clock timers, and a bounded
+// PaSTRI compression pipeline: lock-free atomic counters, log-linear
+// histograms, per-stage wall-clock timers, and a bounded
 // per-block trace ring buffer, aggregated by a Collector and exported
 // as JSON snapshots or an expvar variable. The pipeline reaches the
 // collector through an Observer (observer.go), which also carries the
@@ -26,6 +26,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -90,20 +91,57 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// A Histogram counts observations in power-of-two buckets: bucket b
-// holds values v with bits.Len64(v) == b, i.e. v in [2^(b-1), 2^b).
-// Observation is lock-free and exact (no sampling).
+// histSubBits is the histogram's k: values below 2^k get one bucket
+// each, and every power of two from 2^k up is split into 2^k equal
+// sub-buckets, so no bucket is wider than 2^-k (6.25%) of its lower
+// bound.
+const histSubBits = 4
+
+// numHistBuckets covers all of uint64: 2^k single-value buckets, then
+// 2^k sub-buckets for each of the 64-k powers of two from 2^k to 2^63.
+const numHistBuckets = (64 - histSubBits + 1) << histSubBits
+
+// A Histogram counts observations in log-linear buckets with bounded
+// relative error, in the manner of DDSketch (Masson et al., VLDB 2019):
+// with k = 4, values 0..15 get one bucket each and every power of two
+// [2^e, 2^(e+1)) with e ≥ 4 is split into 16 sub-buckets of width
+// 2^(e-4), so a bucket's width is at most 2^-4 = 6.25% of its lower
+// bound. 976 buckets cover all of uint64 (7.8 KB). Observation is
+// lock-free and exact (no sampling); Quantile and InSlowest1Pct read
+// the live buckets.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
-	buckets [65]atomic.Uint64
+	buckets [numHistBuckets]atomic.Uint64
+}
+
+// bucketOf returns the index of the bucket holding v.
+func bucketOf(v uint64) int {
+	if v < 1<<histSubBits {
+		return int(v)
+	}
+	shift := bits.Len64(v) - 1 - histSubBits
+	// v>>shift keeps v's top k+1 bits: 2^k plus the sub-bucket index.
+	return shift<<histSubBits + int(v>>(shift&63))
+}
+
+// bucketMax returns the largest value bucket i holds.
+func bucketMax(i int) uint64 {
+	if i < 1<<histSubBits {
+		return uint64(i)
+	}
+	shift := i>>histSubBits - 1
+	top := uint64(i - shift<<histSubBits) // 2^k + sub-bucket index
+	// For the last bucket (top+1)<<shift wraps to 0, and the result is
+	// MaxUint64.
+	return (top+1)<<(shift&63) - 1
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 }
 
 // Count returns the number of observations.
@@ -112,6 +150,46 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
+// Quantile returns the largest value of the bucket holding rank
+// ⌈q·n⌉ of the n observations, so it is never below the exact
+// quantile and at most 2^-k above it. q is clamped to [0, 1]; an
+// empty histogram returns 0.
+func (h *Histogram) Quantile(q float64) uint64 {
+	// n is summed from the buckets rather than loaded from count, so the
+	// scan below, which only ever sees counts as high, reaches rank.
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(min(max(q, 0), 1) * float64(n)))
+	rank = min(max(rank, 1), n)
+	var cum uint64
+	for i := range h.buckets {
+		if cum += h.buckets[i].Load(); cum >= rank {
+			return bucketMax(i)
+		}
+	}
+	return math.MaxUint64
+}
+
+// InSlowest1Pct reports whether v ranks in the slowest 1% of the values
+// observed so far: fewer than 1 in 100 of them lie in a higher bucket
+// than v's. A value above every earlier one, the first observation
+// included, always does.
+func (h *Histogram) InSlowest1Pct(v uint64) bool {
+	n := h.count.Load()
+	var above uint64
+	for i := bucketOf(v) + 1; i < numHistBuckets; i++ {
+		if above += h.buckets[i].Load(); above > 0 && above*100 >= n {
+			return false
+		}
+	}
+	return true
+}
+
 // stageRec accumulates one stage's timings. min is stored as ns+1 so
 // the zero value means "no observations yet".
 type stageRec struct {
@@ -119,7 +197,7 @@ type stageRec struct {
 	total atomic.Uint64 // nanoseconds
 	min   atomic.Uint64 // nanoseconds + 1; 0 = unset
 	max   atomic.Uint64 // nanoseconds
-	hist  Histogram     // nanoseconds, power-of-two buckets
+	hist  Histogram     // nanoseconds
 }
 
 func (r *stageRec) observe(d time.Duration) {

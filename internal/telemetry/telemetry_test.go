@@ -1,8 +1,13 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"expvar"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -37,19 +42,24 @@ func TestNilCollectorIsSafe(t *testing.T) {
 
 func TestCounterAndHistogram(t *testing.T) {
 	var h Histogram
-	for _, v := range []uint64{0, 1, 2, 3, 4, 1023, 1024} {
+	vals := []uint64{0, 1, 15, 16, 17, 32, 33, 34, 1023, 1024, 1087, 1088}
+	var sum uint64
+	for _, v := range vals {
 		h.Observe(v)
+		sum += v
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
+	if h.Count() != uint64(len(vals)) {
+		t.Fatalf("count = %d, want %d", h.Count(), len(vals))
 	}
-	if h.Sum() != 0+1+2+3+4+1023+1024 {
-		t.Fatalf("sum = %d", h.Sum())
+	if h.Sum() != sum {
+		t.Fatalf("sum = %d, want %d", h.Sum(), sum)
 	}
 	snap := h.Snapshot()
-	// Buckets: len=0 → {0}, len=1 → {1}, len=2 → {2,3}, len=3 → {4},
-	// len=10 → {1023}, len=11 → {1024}.
-	want := map[uint64]uint64{0: 1, 1: 1, 3: 2, 7: 1, 1023: 1, 2047: 1}
+	// Log-linear bounds with k = 4: 0..31 get a bucket each, [32, 64)
+	// splits into 16 buckets of width 2 ({32,33}, {34,35}, …), and
+	// [1024, 2048) into 16 of width 64, so 1023 ends [992, 1023] and
+	// 1024..1087 share one bucket.
+	want := map[uint64]uint64{0: 1, 1: 1, 15: 1, 16: 1, 17: 1, 33: 2, 35: 1, 1023: 1, 1087: 2, 1151: 1}
 	if len(snap.Buckets) != len(want) {
 		t.Fatalf("buckets = %+v, want uppers %v", snap.Buckets, want)
 	}
@@ -58,6 +68,100 @@ func TestCounterAndHistogram(t *testing.T) {
 			t.Errorf("bucket le=%d n=%d, want n=%d", b.Le, b.N, want[b.Le])
 		}
 	}
+}
+
+// TestHistogramQuantileAccuracy holds Quantile to its stated bound
+// against an exact sort of 20,000 lognormal values: at every tested q
+// it lies in [exact, exact·(1+2^-k)]. The rank test must agree with the
+// exact rule — fewer than 1 in 100 values above — everywhere except
+// within one bucket of the 99th percentile.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	vals := make([]uint64, 20000)
+	var h Histogram
+	for i := range vals {
+		// Nanosecond latencies: median about 160 µs, a long right tail.
+		vals[i] = uint64(math.Exp(12 + 1.5*rng.NormFloat64()))
+		h.Observe(vals[i])
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	n := len(sorted)
+	rankOf := func(q float64) uint64 { return sorted[int(math.Ceil(q*float64(n)))-1] }
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999} {
+		exact, got := rankOf(q), h.Quantile(q)
+		if got < exact || float64(got) > float64(exact)*(1+1.0/(1<<histSubBits)) {
+			t.Errorf("Quantile(%g) = %d, exact %d: outside [exact, exact·(1+2^-%d)]", q, got, exact, histSubBits)
+		}
+	}
+
+	p99 := bucketOf(rankOf(0.99))
+	for i, v := range sorted {
+		if i > 0 && sorted[i-1] == v {
+			continue
+		}
+		greater := n - sort.Search(n, func(j int) bool { return sorted[j] > v })
+		exact := greater == 0 || greater*100 < n
+		if got := h.InSlowest1Pct(v); got != exact && (bucketOf(v) < p99-1 || bucketOf(v) > p99+1) {
+			t.Errorf("InSlowest1Pct(%d) = %v with %d of %d values above it, %d buckets from the p99's",
+				v, got, greater, n, bucketOf(v)-p99)
+		}
+	}
+	var empty Histogram
+	if !empty.InSlowest1Pct(123) || empty.Quantile(0.5) != 0 {
+		t.Error("empty histogram: the first value must rank in the slowest 1%, and quantiles read 0")
+	}
+}
+
+// FuzzHistogram checks the bucket layout on every fuzzed value — its
+// bucket ends at or above it, the bucket below ends below it, and from
+// 2^k up no bucket is wider than 2^-k of its lower bound — and, over
+// the whole sequence, that Quantile is monotone in q and Quantile(1)
+// is at least the largest value.
+func FuzzHistogram(f *testing.F) {
+	for _, vs := range [][]uint64{
+		{0}, {1 << histSubBits}, {1 << 63}, {math.MaxUint64},
+		{0, 1 << histSubBits, 1 << 63, math.MaxUint64, 1000, 1001, 1 << 40},
+	} {
+		var seed []byte
+		for _, v := range vs {
+			seed = binary.LittleEndian.AppendUint64(seed, v)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h Histogram
+		var largest uint64
+		for ; len(data) >= 8; data = data[8:] {
+			v := binary.LittleEndian.Uint64(data)
+			h.Observe(v)
+			largest = max(largest, v)
+			b := bucketOf(v)
+			if b < 0 || b >= numHistBuckets || bucketMax(b) < v {
+				t.Fatalf("value %d: bucket %d ends at %d", v, b, bucketMax(b))
+			}
+			lower := uint64(0)
+			if b > 0 {
+				if lower = bucketMax(b-1) + 1; lower > v {
+					t.Fatalf("value %d: bucket %d below it ends at %d", v, b-1, lower-1)
+				}
+			}
+			if width := bucketMax(b) - lower + 1; v >= 1<<histSubBits && width > lower>>histSubBits {
+				t.Fatalf("value %d: bucket [%d, %d] is wider than 2^-%d of its lower bound", v, lower, bucketMax(b), histSubBits)
+			}
+		}
+		prev := uint64(0)
+		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+			got := h.Quantile(q)
+			if got < prev {
+				t.Fatalf("Quantile(%g) = %d below a lower q's %d", q, got, prev)
+			}
+			prev = got
+		}
+		if h.Count() > 0 && prev < largest {
+			t.Fatalf("Quantile(1) = %d below the largest value %d", prev, largest)
+		}
+	})
 }
 
 func TestStageTimerMinMax(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // this output with its own server families and a single
 // writeRuntimeMetrics-equivalent block.
 func WriteTenantPrometheus(w io.Writer, tenants map[string]*Collector) error {
-	p := &promWriter{w: w}
+	p := NewPromWriter(w)
 	names := make([]string, 0, len(tenants))
 	for t, c := range tenants {
 		if c != nil {
@@ -28,9 +28,9 @@ func WriteTenantPrometheus(w io.Writer, tenants map[string]*Collector) error {
 	sort.Strings(names)
 
 	each := func(name, help string, load func(c *Collector) float64) {
-		p.header(name, help, "counter")
+		p.Header(name, help, "counter")
 		for _, t := range names {
-			p.sample(name, load(tenants[t]), "tenant", t)
+			p.Sample(name, load(tenants[t]), "tenant", t)
 		}
 	}
 	each("pastri_tenant_blocks_total", "Blocks compressed per tenant.",
@@ -48,22 +48,22 @@ func WriteTenantPrometheus(w io.Writer, tenants map[string]*Collector) error {
 	each("pastri_tenant_eb_violations_total", "Audited error-bound violations per tenant.",
 		func(c *Collector) float64 { return float64(c.ebViolations.Load()) })
 
-	p.header("pastri_tenant_blocks_encoded_total", "Blocks per chosen ECQ encoding per tenant.", "counter")
+	p.Header("pastri_tenant_blocks_encoded_total", "Blocks per chosen ECQ encoding per tenant.", "counter")
 	for _, t := range names {
 		c := tenants[t]
 		for e := BlockEncoding(0); e < numBlockEncodings; e++ {
-			p.sample("pastri_tenant_blocks_encoded_total", float64(c.enc[e].Load()),
+			p.Sample("pastri_tenant_blocks_encoded_total", float64(c.enc[e].Load()),
 				"tenant", t, "encoding", e.String())
 		}
 	}
-	return p.err
+	return p.Err()
 }
 
 // WriteRuntimePrometheus renders only the Go runtime/GC families — the
 // building block pastrid uses to compose a complete scrape from
 // tenant-labeled pipeline families plus its own server families.
 func WriteRuntimePrometheus(w io.Writer) error {
-	p := &promWriter{w: w}
+	p := NewPromWriter(w)
 	writeRuntimeMetrics(p)
-	return p.err
+	return p.Err()
 }

@@ -23,9 +23,10 @@
 // tenant, whether the trace records spans at all (unsampled requests
 // still get trace/span IDs so logs stay correlatable). Tail retention
 // decides at FinishRequest which finished traces enter the export
-// ring: errors, slow requests (Config.LatencyThreshold), traces
-// force-kept by the caller (e.g. on a flight-recorder anomaly), and a
-// Config.KeepFraction random residue for baseline coverage.
+// ring: errors, traces force-kept by the caller (pastrid keeps a
+// request in its route's slowest 1% and one that raised a
+// flight-recorder anomaly), and a Config.KeepFraction random residue
+// for baseline coverage.
 package trace
 
 import (
@@ -57,8 +58,8 @@ const (
 var KeepReasons = []string{ReasonError, ReasonLatency, ReasonAnomaly, ReasonForced, ReasonRandom}
 
 // Config parameterizes a Tracer. The zero value is valid: sample
-// nothing at the head, keep errors/latency outliers of whatever was
-// sampled, default ring depth and span cap.
+// nothing at the head, keep errored and force-kept traces of whatever
+// was sampled, default ring depth and span cap.
 type Config struct {
 	// SampleRate is the default head-sampling probability in [0, 1].
 	SampleRate float64
@@ -66,11 +67,6 @@ type Config struct {
 	// TenantRates overrides SampleRate per tenant. A negative rate
 	// disables head sampling for that tenant entirely.
 	TenantRates map[string]float64
-
-	// LatencyThreshold is the tail-retention latency rule: a finished
-	// trace whose root duration is >= the threshold is always kept.
-	// Zero disables the rule.
-	LatencyThreshold time.Duration
 
 	// KeepFraction is the probability in [0, 1] that an otherwise
 	// unremarkable finished trace is kept anyway, preserving baseline
@@ -274,8 +270,6 @@ func (t *Tracer) FinishRequest(root *Span) (retained bool, reason string) {
 		reason = ReasonError
 	case at.forced != "":
 		reason = at.forced
-	case t.cfg.LatencyThreshold > 0 && dur >= t.cfg.LatencyThreshold:
-		reason = ReasonLatency
 	case t.cfg.KeepFraction > 0 && t.rand01() < t.cfg.KeepFraction:
 		reason = ReasonRandom
 	}
@@ -576,13 +570,15 @@ func (s *Span) SetError(err error) {
 }
 
 // ForceKeep requests tail retention for the span's trace regardless
-// of latency or the random keep fraction. Unknown reasons are
-// recorded as ReasonForced to keep the metric label set closed.
+// of the random keep fraction; the first reason forced is the one
+// kept. ReasonLatency and ReasonAnomaly are recorded as given; any
+// other reason is recorded as ReasonForced to keep the metric label
+// set closed.
 func (s *Span) ForceKeep(reason string) {
 	if s == nil || s.at == nil {
 		return
 	}
-	if _, ok := reasonIndex[reason]; !ok || reason == ReasonError || reason == ReasonLatency || reason == ReasonRandom {
+	if reason != ReasonLatency && reason != ReasonAnomaly {
 		reason = ReasonForced
 	}
 	at := s.at

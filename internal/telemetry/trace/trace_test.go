@@ -116,15 +116,14 @@ func TestTailRetentionRules(t *testing.T) {
 		name  string
 		cfg   Config
 		drive func(tr *Tracer, sp *Span)
-		sleep time.Duration
 		want  string // "" = dropped
 	}{
-		{"error", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.SetError(errors.New("boom")) }, 0, ReasonError},
-		{"latency", Config{SampleRate: 1, LatencyThreshold: time.Microsecond}, nil, time.Millisecond, ReasonLatency},
-		{"anomaly", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep(ReasonAnomaly) }, 0, ReasonAnomaly},
-		{"forced", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep("because") }, 0, ReasonForced},
-		{"random-all", Config{SampleRate: 1, KeepFraction: 1}, nil, 0, ReasonRandom},
-		{"dropped", Config{SampleRate: 1}, nil, 0, ""},
+		{"error", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.SetError(errors.New("boom")) }, ReasonError},
+		{"latency", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep(ReasonLatency) }, ReasonLatency},
+		{"anomaly", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep(ReasonAnomaly) }, ReasonAnomaly},
+		{"forced", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep("because") }, ReasonForced},
+		{"random-all", Config{SampleRate: 1, KeepFraction: 1}, nil, ReasonRandom},
+		{"dropped", Config{SampleRate: 1}, nil, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,9 +131,6 @@ func TestTailRetentionRules(t *testing.T) {
 			sp := tr.StartRequest("read_block", "alice", "")
 			if tc.drive != nil {
 				tc.drive(tr, sp)
-			}
-			if tc.sleep > 0 {
-				time.Sleep(tc.sleep)
 			}
 			kept, reason := tr.FinishRequest(sp)
 			if (tc.want != "") != kept || reason != tc.want {
