@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build fmt test vet bench-vet lint lint-sarif lint-selftest race fuzz-smoke bench-smoke bench-json bench-gate cover serve-test cover-serve verify clean
+.PHONY: build fmt test vet bench-vet lint race fuzz-smoke bench-smoke bench-json bench-gate cover serve-test cover-serve verify clean
 
 build:
 	$(GO) build ./...
@@ -30,28 +30,13 @@ vet:
 bench-vet:
 	cd bench && $(GO) vet ./...
 
-# pastrilint: the PaSTRI-specific analyzer suite (internal/analysis),
-# both per-package and module-wide (flow-engine) analyzers. Findings
-# are fixed, annotated with //lint:<analyzer>-ok, or — for debt that
-# needs more than one PR — recorded in .pastrilint-baseline.json with a
-# reason and a mandatory expiry date. Expired or unused baseline
-# entries fail the target.
+# pastrilint: the PaSTRI-specific analyzer suite (internal/analysis):
+# one-package checks and the interprocedural flow-engine analyzers in
+# one run. Findings are fixed or annotated with //lint:<analyzer>-ok
+# plus the reason the invariant holds. The suite's own fixtures are
+# checked by `go test ./internal/analysis` (part of test and race).
 lint:
-	$(GO) run ./cmd/pastrilint -baseline .pastrilint-baseline.json ./...
-
-# lint-sarif: same gate, but also emit pastrilint.sarif for code
-# scanning UIs. CI uploads the file as an artifact. `|| true` is NOT
-# used: findings still fail, after the SARIF is written.
-lint-sarif:
-	$(GO) run ./cmd/pastrilint -baseline .pastrilint-baseline.json -sarif pastrilint.sarif ./...
-
-# lint-selftest: run the analyzer suite over its own fixture packages
-# and diff the machine-readable findings against the committed golden —
-# an end-to-end check that every analyzer still sees exactly what it
-# documented. Regenerate the golden with:
-#   go run ./cmd/pastrilint -selftest > cmd/pastrilint/testdata/selftest.golden.json
-lint-selftest:
-	$(GO) run ./cmd/pastrilint -selftest | diff -u cmd/pastrilint/testdata/selftest.golden.json -
+	$(GO) run ./cmd/pastrilint ./...
 
 race:
 	$(GO) test -race ./...
@@ -190,9 +175,9 @@ cover-serve:
 # verify runs every gate once; CI runs nothing else as a gate. The
 # timing-sensitive bench-gate goes last, so a slow machine that fails
 # it has already run every correctness gate.
-verify: build fmt test vet bench-vet lint lint-selftest race fuzz-smoke bench-smoke cover serve-test cover-serve bench-gate
+verify: build fmt test vet bench-vet lint race fuzz-smoke bench-smoke cover serve-test cover-serve bench-gate
 	@echo "verify: OK"
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/*/testdata/fuzz internal/analysis/flow/testdata/fuzz cover.out cover_serve.out bench_current.txt bench_gate.txt bench_gate.json pastrid_ledger*.json pastrilint.sarif
+	rm -rf internal/*/testdata/fuzz internal/analysis/flow/testdata/fuzz cover.out cover_serve.out bench_current.txt bench_gate.txt bench_gate.json pastrid_ledger*.json

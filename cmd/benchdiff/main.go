@@ -196,10 +196,10 @@ func run(o diffOpts, oldArg, newArg string, w io.Writer) error {
 	for _, name := range names {
 		ov, nv := oldMed[name], newMed[name]
 		delta := 0.0
-		if ov != 0 { //lint:floatcmp-ok guarding the division; a zero median means the metric is degenerate anyway
+		if ov != 0 {
 			delta = (nv - ov) / ov * 100
 		}
-		worsened := delta > 0 != up && delta != 0 //lint:floatcmp-ok exact-zero delta is by definition not a regression
+		worsened := delta > 0 != up && delta != 0
 		verdict := "~"
 		switch {
 		case math.Abs(delta) <= o.noise:
@@ -214,7 +214,7 @@ func run(o diffOpts, oldArg, newArg string, w io.Writer) error {
 		}
 		fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%+.1f%%\t%s\n", name, ov, nv, delta, verdict)
 	}
-	tw.Flush() //lint:errdrop-ok tabwriter over stdout; a failed flush has nowhere better to go
+	tw.Flush()
 	fmt.Fprintf(w, "%d benchmarks compared (%s vs %s, metric %s, gate %.0f%%, noise %.0f%%)\n",
 		len(names), oldName, newName, o.metric, o.threshold, o.noise)
 	if len(regressions) > 0 {
@@ -236,9 +236,9 @@ func runRecord(o diffOpts, up bool, names []string, oldMed, newMed map[string]fl
 		ov, nv := oldMed[name], newMed[name]
 		factor := math.Inf(1)
 		switch {
-		case up && ov != 0: //lint:floatcmp-ok guarding the division
+		case up && ov != 0:
 			factor = nv / ov
-		case !up && nv != 0: //lint:floatcmp-ok guarding the division
+		case !up && nv != 0:
 			factor = ov / nv
 		}
 		verdict := "ok"
@@ -248,7 +248,7 @@ func runRecord(o diffOpts, up bool, names []string, oldMed, newMed map[string]fl
 		}
 		fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%.2fx\t%s\n", name, ov, nv, factor, verdict)
 	}
-	tw.Flush() //lint:errdrop-ok tabwriter over stdout; a failed flush has nowhere better to go
+	tw.Flush()
 	fmt.Fprintf(w, "%d benchmarks compared (%s vs %s, metric %s, required speedup %.2fx)\n",
 		len(names), oldName, newName, o.metric, o.minSpeedup)
 	if len(shortfalls) > 0 {

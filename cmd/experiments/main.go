@@ -176,7 +176,7 @@ func fig9a(blocks int) error {
 		ratio[k][r.Codec] = r.Report.Ratio
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].eb != keys[j].eb { //lint:floatcmp-ok sort key: comparing copied config values for identity, not arithmetic results
+		if keys[i].eb != keys[j].eb {
 			return keys[i].eb < keys[j].eb
 		}
 		return keys[i].ds < keys[j].ds

@@ -133,7 +133,7 @@ func (o cliOpts) collecting() bool {
 
 // flightEnabled reports whether a flight recorder should be attached.
 func (o cliOpts) flightEnabled() bool {
-	return o.flightDir != "" || o.flightSlack != 0 //lint:floatcmp-ok exact zero is the flag's "disabled" sentinel, never computed
+	return o.flightDir != "" || o.flightSlack != 0
 }
 
 // newLogger builds the slog.Logger requested by -log/-loglevel; mode
@@ -211,7 +211,7 @@ func run(o cliOpts) error {
 		if err != nil {
 			return err
 		}
-		defer ln.Close() //lint:errdrop-ok best-effort teardown of the debug listener on exit
+		defer ln.Close()
 		fmt.Fprintf(o.stdout, "debug server : http://%s/debug/pprof (snapshot at /debug/vars)\n", ln.Addr())
 	}
 
@@ -464,7 +464,7 @@ func printStats(w io.Writer, snap *pastri.CollectorSnapshot) {
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\n", name, s.Count,
 			fmtNS(s.TotalNS), fmtNS(s.AvgNS), fmtNS(s.MinNS), fmtNS(s.MaxNS))
 	}
-	tw.Flush() //lint:errdrop-ok tabwriter over an in-memory/stdout sink; a failed flush has nowhere better to go
+	tw.Flush()
 }
 
 // printTrace renders the trace ring, oldest first.
@@ -476,7 +476,7 @@ func printTrace(w io.Writer, snap *pastri.CollectorSnapshot) {
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%d\t%d\t%.3e\n",
 			tr.Block, tr.SubBlocks, tr.ExpSpan, tr.Encoding, tr.BytesIn, tr.BytesOut, tr.EBSlack)
 	}
-	tw.Flush() //lint:errdrop-ok tabwriter over an in-memory/stdout sink; a failed flush has nowhere better to go
+	tw.Flush()
 }
 
 // fmtNS renders nanoseconds with an adaptive unit.

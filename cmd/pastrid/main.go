@@ -58,7 +58,7 @@ func runReport(args []string) int {
 		outPath  = fs.String("out", "", "write the report here instead of stdout")
 		dumpPath = fs.String("dump", "", "also save the raw ops dump (JSON) here")
 	)
-	fs.Parse(args) //lint:errdrop-ok ExitOnError FlagSet exits on parse failure
+	fs.Parse(args) // ExitOnError FlagSet exits on parse failure
 
 	var (
 		d   opsreport.Dump

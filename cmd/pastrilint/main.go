@@ -4,36 +4,24 @@
 //
 // Usage:
 //
-//	pastrilint ./...                  # whole module
-//	pastrilint ./internal/bitio       # one package
-//	pastrilint -only floatcmp,detlint ./...
-//	pastrilint -json ./...            # machine-readable findings
-//	pastrilint -sarif out.sarif ./... # SARIF 2.1.0 for code scanning
-//	pastrilint -baseline .pastrilint-baseline.json ./...
-//	pastrilint -selftest              # fixture findings as JSON
-//	pastrilint -list                  # describe the suite
+//	pastrilint ./...            # whole module (the default)
+//	pastrilint ./internal/bitio # one package
+//	pastrilint -list            # describe the suite
 //
 // Findings print as file:line:col: [analyzer] message with paths
-// relative to the module root. A finding is silenced by fixing it, by
-// annotating the line (or the line above) with //lint:<analyzer>-ok
-// plus the reason the invariant holds, or — for debt that needs more
-// than one PR to pay down — by a baseline entry with a reason and a
-// mandatory expiry date; see the "Static analysis & invariants"
-// section of README.md.
+// relative to the module root. A finding is silenced by fixing it, or
+// by annotating the line (or the line above) with //lint:<analyzer>-ok
+// plus the reason the invariant holds; see the "Static analysis &
+// invariants" section of README.md.
 //
-// Exit codes: 0 clean, 1 findings or baseline problems, 2 usage or
-// load errors.
+// Exit codes: 0 clean, 1 findings, 2 usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
 
 	"repro/internal/analysis"
 )
@@ -45,119 +33,38 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pastrilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		only     = fs.String("only", "", "comma-separated subset of analyzers to run")
-		list     = fs.Bool("list", false, "list analyzers and exit")
-		jsonOut  = fs.Bool("json", false, "emit findings as a JSON array")
-		sarif    = fs.String("sarif", "", "also write findings to this file as SARIF 2.1.0")
-		baseline = fs.String("baseline", "", "suppress findings listed in this baseline file")
-		selftest = fs.Bool("selftest", false, "run the suite over its own fixtures and emit JSON findings")
-	)
+	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range analysis.AllModule() {
-			fmt.Fprintf(stdout, "%-18s %s (module-wide)\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(stderr, "pastrilint:", err)
-		return 2
-	}
-
-	if *selftest {
-		root, err := findModRoot(cwd)
-		if err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-		findings, err := analysis.Selftest(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-		return 0
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pas, mas := analysis.All(), analysis.AllModule()
-	if *only != "" {
-		var err error
-		pas, mas, err = analysis.Select(strings.Split(*only, ","))
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-
-	findings, err := Lint(cwd, patterns, pas, mas)
+	findings, err := Lint(".", patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "pastrilint:", err)
 		return 2
 	}
-
-	var problems []string
-	if *baseline != "" {
-		b, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-		findings, problems = b.Apply(findings, time.Now())
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
-
-	if *sarif != "" {
-		doc, err := analysis.SARIFReport(analysis.SuiteRules(pas, mas), findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-		if err := os.WriteFile(*sarif, doc, 0o644); err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-	}
-
-	if *jsonOut {
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "pastrilint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
-	}
-	for _, p := range problems {
-		fmt.Fprintln(stderr, "pastrilint:", p)
-	}
-	if len(findings) > 0 || len(problems) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(stdout, "pastrilint: %d finding(s)\n", len(findings))
-		}
+	if len(findings) > 0 {
+		fmt.Fprintf(stdout, "pastrilint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
 }
 
-// Lint loads the patterns relative to dir's module, runs the given
-// per-package and module analyzers, and returns the surviving findings
-// with module-root-relative paths in canonical order.
-func Lint(dir string, patterns []string, pas []*analysis.Analyzer, mas []*analysis.ModuleAnalyzer) ([]analysis.Finding, error) {
+// Lint loads the patterns relative to the root of dir's module and
+// returns the whole suite's findings.
+func Lint(dir string, patterns []string) ([]analysis.Finding, error) {
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -166,43 +73,5 @@ func Lint(dir string, patterns []string, pas []*analysis.Analyzer, mas []*analys
 	if err != nil {
 		return nil, err
 	}
-	var findings []analysis.Finding
-	for _, pkg := range pkgs {
-		for _, d := range analysis.RunPackage(pkg, pas) {
-			findings = append(findings, analysis.NewFinding(loader.ModRoot(), d))
-		}
-	}
-	for _, d := range analysis.RunModule(pkgs, mas) {
-		findings = append(findings, analysis.NewFinding(loader.ModRoot(), d))
-	}
-	analysis.SortFindings(findings)
-	return findings, nil
-}
-
-// writeJSON emits findings as a stable, indented JSON array ([] when
-// empty, never null) followed by a newline.
-func writeJSON(w io.Writer, findings []analysis.Finding) error {
-	if findings == nil {
-		findings = []analysis.Finding{}
-	}
-	out, err := json.MarshalIndent(findings, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", out)
-	return err
-}
-
-// findModRoot walks up from dir to the directory holding go.mod.
-func findModRoot(dir string) (string, error) {
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
+	return analysis.Run(pkgs, analysis.All()), nil
 }

@@ -71,7 +71,7 @@ func runFlight(path string, bound float64) error {
 		fmt.Printf("no block data captured (decode-side anomaly); nothing to replay\n")
 		return nil
 	}
-	if bound == 0 { //lint:floatcmp-ok unset-flag sentinel: 0 means "use the artifact's recorded bound"
+	if bound == 0 {
 		bound = a.ErrorBound
 	}
 	rep, err := zcheck.Assess(a.Original, a.Reconstructed, a.Record.BytesOut, bound)
@@ -100,7 +100,7 @@ func run(origPath, reconPath, pstrPath string, compSize int, bound float64) erro
 			return err
 		}
 		compSize = len(comp)
-		if bound == 0 { //lint:floatcmp-ok unset-flag sentinel: 0 means "read the bound from the stream"
+		if bound == 0 {
 			if eb, err := pastri.MaxError(comp); err == nil {
 				bound = eb
 			}

@@ -11,20 +11,16 @@ import (
 	"testing"
 )
 
-func TestFloatCmp(t *testing.T) {
-	runFixture(t, FloatCmp, "floatcmp", fixtureModPath+"/internal/fixtures")
-}
-
 func TestShiftWidth(t *testing.T) {
-	runFixture(t, ShiftWidth, "shiftwidth", fixtureModPath+"/internal/fixtures")
+	runFixture(t, ShiftWidth, "shiftwidth", fixtureLib)
 }
 
 func TestErrDrop(t *testing.T) {
-	runFixture(t, ErrDrop, "errdrop", fixtureModPath+"/internal/fixtures")
+	runFixture(t, ErrDrop, "errdrop", fixtureLib)
 }
 
 func TestNoPanicLibrary(t *testing.T) {
-	runFixture(t, NoPanic, "nopanic/lib", fixtureModPath+"/internal/fixtures")
+	runFixture(t, NoPanic, "nopanic/lib", fixtureLib)
 }
 
 func TestNoPanicCmdExempt(t *testing.T) {
@@ -33,40 +29,28 @@ func TestNoPanicCmdExempt(t *testing.T) {
 	runFixture(t, NoPanic, "nopanic/cmdpkg", fixtureModPath+"/cmd/tool")
 }
 
-func TestGoroutineCapture(t *testing.T) {
-	runFixture(t, GoroutineCapture, "goroutinecapture", fixtureModPath+"/internal/fixtures")
-}
-
-func TestSlogKey(t *testing.T) {
-	runFixture(t, SlogKey, "slogkey", fixtureModPath+"/internal/fixtures")
-}
-
 func TestSpanEnd(t *testing.T) {
-	runFixture(t, SpanEnd, "spanend", fixtureModPath+"/internal/fixtures")
-}
-
-func TestSloConst(t *testing.T) {
-	runFixture(t, SloConst, "sloconst", fixtureModPath+"/internal/fixtures")
+	runFixture(t, SpanEnd, "spanend", fixtureLib)
 }
 
 func TestHotAlloc2(t *testing.T) {
-	runModuleFixture(t, HotAlloc2, "hotalloc2", fixtureModPath+"/internal/fixtures")
+	runFixture(t, HotAlloc2, "hotalloc2", fixtureLib)
 }
 
 func TestDetLint(t *testing.T) {
-	runModuleFixture(t, DetLint, "detlint", fixtureModPath+"/internal/fixtures")
+	runFixture(t, DetLint, "detlint", fixtureLib)
 }
 
 func TestAtomicMix(t *testing.T) {
-	runModuleFixture(t, AtomicMix, "atomicmix", fixtureModPath+"/internal/fixtures")
+	runFixture(t, AtomicMix, "atomicmix", fixtureLib)
 }
 
 func TestDeferLoop(t *testing.T) {
-	runModuleFixture(t, DeferLoop, "deferloop", fixtureModPath+"/internal/fixtures")
+	runFixture(t, DeferLoop, "deferloop", fixtureLib)
 }
 
 func TestLintMarker(t *testing.T) {
-	runFixture(t, LintMarker, "lintmarker", fixtureModPath+"/internal/fixtures")
+	runFixture(t, LintMarker, "lintmarker", fixtureLib)
 }
 
 // TestLintMarkerReadsTestFiles checks that lintmarker also reports a
@@ -93,32 +77,9 @@ func TestLintMarkerReadsTestFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkg := &Package{Path: "p", Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
-	diags := RunPackage(pkg, []*Analyzer{LintMarker})
-	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "a_test.go" || diags[0].Pos.Line != 3 ||
-		!strings.Contains(diags[0].Message, "errcmp") {
-		t.Fatalf("diagnostics = %v, want one errcmp finding at a_test.go:3", diags)
-	}
-}
-
-func TestSelect(t *testing.T) {
-	pas, mas, err := Select([]string{"floatcmp", "hotalloc2", "detlint"})
-	if err != nil || len(pas) != 1 || len(mas) != 2 {
-		t.Fatalf("Select = %v, %v, %v", pas, mas, err)
-	}
-	if pas[0] != FloatCmp || mas[0] != HotAlloc2 || mas[1] != DetLint {
-		t.Fatal("Select resolved wrong analyzers")
-	}
-	if _, _, err := Select([]string{"hotalloc"}); err == nil {
-		t.Fatal("Select accepted the retired hotalloc name")
-	}
-}
-
-func TestByName(t *testing.T) {
-	as, err := ByName([]string{"floatcmp", "nopanic"})
-	if err != nil || len(as) != 2 || as[0] != FloatCmp || as[1] != NoPanic {
-		t.Fatalf("ByName = %v, %v", as, err)
-	}
-	if _, err := ByName([]string{"nosuch"}); err == nil {
-		t.Fatal("ByName accepted unknown analyzer")
+	found := Run([]*Package{pkg}, []*Analyzer{LintMarker})
+	if len(found) != 1 || filepath.Base(found[0].File) != "a_test.go" || found[0].Line != 3 ||
+		!strings.Contains(found[0].Message, "errcmp") {
+		t.Fatalf("findings = %v, want one errcmp finding at a_test.go:3", found)
 	}
 }

@@ -20,13 +20,13 @@ import (
 // shared (constructors, tests) is a legitimate exception — annotate it
 // with //lint:atomicmix-ok and say why the value is not yet visible to
 // other goroutines.
-var AtomicMix = &ModuleAnalyzer{
+var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "flag struct fields accessed both via sync/atomic and by plain loads/stores",
 	Run:  runAtomicMix,
 }
 
-func runAtomicMix(p *ModulePass) {
+func runAtomicMix(p *Pass) {
 	// Pass 1: fields used atomically, with one representative site for
 	// the diagnostic text.
 	atomicFields := make(map[*types.Var]token.Pos)

@@ -19,13 +19,13 @@ import (
 // A defer inside a function literal is attributed to the literal (it
 // runs when the closure returns), so a closure called once per
 // iteration is clean unless its own body loops.
-var DeferLoop = &ModuleAnalyzer{
+var DeferLoop = &Analyzer{
 	Name: "deferloop",
 	Doc:  "flag defer inside loops (CFG cycles) of hot-path functions",
 	Run:  runDeferLoop,
 }
 
-func runDeferLoop(p *ModulePass) {
+func runDeferLoop(p *Pass) {
 	hot, from := p.Program.Hot()
 	for _, fn := range p.Program.Funcs() {
 		if !hot[fn] {
@@ -45,7 +45,7 @@ func runDeferLoop(p *ModulePass) {
 	}
 }
 
-func reportDefersInCycles(p *ModulePass, body *ast.BlockStmt, where string) {
+func reportDefersInCycles(p *Pass, body *ast.BlockStmt, where string) {
 	g := flow.New(body)
 	cyc := g.InCycle()
 	if len(cyc) == 0 {

@@ -28,7 +28,7 @@ import (
 // Telemetry and logging legitimately read the clock on these paths;
 // such sites carry //lint:detlint-ok markers stating why the value
 // cannot reach the output bytes.
-var DetLint = &ModuleAnalyzer{
+var DetLint = &Analyzer{
 	Name: "detlint",
 	Doc:  "flag nondeterminism (map ranges, clock, rand, racy selects) reachable from Compress*/ParallelStreamWriter",
 	Run:  runDetLint,
@@ -51,7 +51,7 @@ func detRoot(fn *flow.Func) bool {
 	return ok && named.Obj().Name() == "ParallelStreamWriter"
 }
 
-func runDetLint(p *ModulePass) {
+func runDetLint(p *Pass) {
 	var roots []*flow.Func
 	for _, fn := range p.Program.Funcs() {
 		if detRoot(fn) {
@@ -71,7 +71,7 @@ func runDetLint(p *ModulePass) {
 	}
 }
 
-func checkDeterminism(p *ModulePass, fn *flow.Func, where string) {
+func checkDeterminism(p *Pass, fn *flow.Func, where string) {
 	info := fn.Pkg.Info
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -23,7 +23,7 @@ import (
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "flag dropped error results from bitio/container/stream-I/O calls",
-	Run:  runErrDrop,
+	Run:  perPackage(runErrDrop),
 }
 
 // errDropWatched lists packages whose error returns must not be
@@ -52,7 +52,7 @@ func runErrDrop(p *Pass) {
 		if pkg == nil || !watched[pkg.Path()] {
 			return
 		}
-		if !callReturnsError(p.TypesInfo, call) {
+		if !callReturnsError(p.Info, call) {
 			return
 		}
 		p.Reportf(call.Pos(),
@@ -79,7 +79,7 @@ func runErrDrop(p *Pass) {
 				if !ok {
 					return true
 				}
-				sig := callSignature(p.TypesInfo, call)
+				sig := callSignature(p.Info, call)
 				if sig == nil {
 					return true
 				}
@@ -103,18 +103,18 @@ func runErrDrop(p *Pass) {
 func (p *Pass) calleePackage(call *ast.CallExpr) (*types.Package, string) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if obj, ok := p.TypesInfo.Uses[fun].(*types.Func); ok {
+		if obj, ok := p.Info.Uses[fun].(*types.Func); ok {
 			return obj.Pkg(), obj.Name()
 		}
 	case *ast.SelectorExpr:
-		if sel, ok := p.TypesInfo.Selections[fun]; ok {
+		if sel, ok := p.Info.Selections[fun]; ok {
 			if f, ok := sel.Obj().(*types.Func); ok {
 				return f.Pkg(), f.Name()
 			}
 			return nil, ""
 		}
 		// Package-qualified call: pkg.Func().
-		if obj, ok := p.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
+		if obj, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
 			return obj.Pkg(), obj.Name()
 		}
 	}

@@ -3,10 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -16,7 +18,7 @@ import (
 )
 
 // Fixture tests: each analyzer runs over a small testdata package and
-// its diagnostics are compared against `// want "regexp"` comments on
+// its findings are compared against `// want "regexp"` comments on
 // the expected lines — the same convention as x/tools analysistest,
 // reimplemented on the stdlib. Fixtures import only the standard
 // library so the shared source-mode importer can resolve everything.
@@ -24,18 +26,22 @@ import (
 var fixtureFset = token.NewFileSet()
 
 var fixtureImporter = sync.OnceValue(func() types.Importer {
-	return StdImporter(fixtureFset)
+	return importer.ForCompiler(fixtureFset, "source", nil)
 })
 
-const fixtureModPath = "fixture.example/mod"
+const (
+	fixtureModPath = "fixture.example/mod"
+	fixtureLib     = fixtureModPath + "/internal/fixtures"
+)
 
 var wantRe = regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
 
 // loadFixture type-checks the package at testdata/<dir> under import
-// path pkgPath.
+// path pkgPath. File positions are recorded as module-root-relative
+// slash paths, so findings read the same wherever the checkout lives.
 func loadFixture(t testing.TB, dir, pkgPath string) *Package {
 	t.Helper()
-	full := filepath.Join("testdata", dir)
+	full := filepath.Join("testdata", filepath.FromSlash(dir))
 	ents, err := os.ReadDir(full)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +51,11 @@ func loadFixture(t testing.TB, dir, pkgPath string) *Package {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(fixtureFset, filepath.Join(full, e.Name()), nil,
+		src, err := os.ReadFile(filepath.Join(full, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fixtureFset, path.Join("internal/analysis/testdata", dir, e.Name()), src,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +74,6 @@ func loadFixture(t testing.TB, dir, pkgPath string) *Package {
 	return &Package{
 		Path:    pkgPath,
 		ModPath: fixtureModPath,
-		Dir:     full,
 		Fset:    fixtureFset,
 		Files:   files,
 		Types:   tpkg,
@@ -72,45 +81,37 @@ func loadFixture(t testing.TB, dir, pkgPath string) *Package {
 	}
 }
 
-// runFixture runs a per-package analyzer over testdata/<dir> and diffs
-// findings against `// want` comments.
+// runFixture runs a over testdata/<dir> and diffs its findings against
+// the `// want` comments. The flow analyzers see the one package as
+// the whole program.
 func runFixture(t *testing.T, a *Analyzer, dir, pkgPath string) {
 	t.Helper()
 	pkg := loadFixture(t, dir, pkgPath)
-	diffWants(t, pkg, RunPackage(pkg, []*Analyzer{a}))
+	diffWants(t, pkg, Run([]*Package{pkg}, []*Analyzer{a}))
 }
 
-// runModuleFixture runs a module analyzer over testdata/<dir> as a
-// single-package module (the flow engine's whole-program view is just
-// that package) and diffs findings against `// want` comments.
-func runModuleFixture(t *testing.T, a *ModuleAnalyzer, dir, pkgPath string) {
-	t.Helper()
-	pkg := loadFixture(t, dir, pkgPath)
-	diffWants(t, pkg, RunModule([]*Package{pkg}, []*ModuleAnalyzer{a}))
-}
-
-func diffWants(t *testing.T, pkg *Package, diags []Diagnostic) {
+func diffWants(t *testing.T, pkg *Package, found []Finding) {
 	t.Helper()
 	wants := collectWants(t, pkg.Files)
 	matched := make(map[*wantExpectation]bool)
-	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		found := false
+	for _, f := range found {
+		key := fmt.Sprintf("%s:%d", f.File, f.Line)
+		ok := false
 		for _, w := range wants[key] {
-			if w.re.MatchString(d.Message) {
+			if w.re.MatchString(f.Message) {
 				matched[w] = true
-				found = true
+				ok = true
 				break
 			}
 		}
-		if !found {
-			t.Errorf("unexpected diagnostic: %s", d)
+		if !ok {
+			t.Errorf("unexpected finding: %s", f)
 		}
 	}
 	for key, ws := range wants {
 		for _, w := range ws {
 			if !matched[w] {
-				t.Errorf("%s: expected diagnostic matching %q, got none", key, w.re)
+				t.Errorf("%s: expected finding matching %q, got none", key, w.re)
 			}
 		}
 	}

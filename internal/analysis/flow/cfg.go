@@ -2,8 +2,8 @@
 // pastrilint analyzer suite: a control-flow-graph builder over go/ast,
 // a generic worklist fixpoint solver, and a class-hierarchy call graph
 // with transitive propagation of the //pastri:hotpath directive. The
-// first-generation analyzers in internal/analysis are single-function
-// AST walks; everything interprocedural (an allocation two calls below
+// one-package analyzers in internal/analysis are single-function AST
+// walks; everything interprocedural (an allocation two calls below
 // a hot kernel, nondeterminism feeding the parallel sequencer) needs
 // the structures built here.
 //

@@ -44,13 +44,13 @@ import (
 //
 // Findings inherited by reachability carry the propagation chain from
 // the marked root.
-var HotAlloc2 = &ModuleAnalyzer{
+var HotAlloc2 = &Analyzer{
 	Name: "hotalloc2",
 	Doc:  "flag allocations (make/append/closures/boxing/string concat) in or reachable from //pastri:hotpath functions",
 	Run:  runHotAlloc2,
 }
 
-func runHotAlloc2(p *ModulePass) {
+func runHotAlloc2(p *Pass) {
 	hot, from := p.Program.Hot()
 	for _, fn := range p.Program.Funcs() {
 		if !hot[fn] {
@@ -66,7 +66,7 @@ func runHotAlloc2(p *ModulePass) {
 }
 
 type hotChecker struct {
-	p     *ModulePass
+	p     *Pass
 	fn    *flow.Func
 	where string // "name" or "name (hot via root → ... → name)"
 	info  *types.Info
@@ -396,7 +396,7 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// --- helpers shared with the first-generation hotalloc (relocated) -------
+// --- helpers ---------------------------------------------------------------
 
 // builtinName returns the name of the builtin being called, or "" if
 // call is not a direct builtin invocation.

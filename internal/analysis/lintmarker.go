@@ -21,22 +21,13 @@ var LintMarker = &Analyzer{
 
 // The run function reads the registry, which lists LintMarker itself,
 // so it is attached after package initialization.
-func init() { LintMarker.Run = runLintMarker }
-
-// markerNames is every name a //lint:<name>-ok marker may carry.
-func markerNames() map[string]bool {
-	names := make(map[string]bool)
-	for _, a := range All() {
-		names[a.Name] = true
-	}
-	for _, a := range AllModule() {
-		names[a.Name] = true
-	}
-	return names
-}
+func init() { LintMarker.Run = perPackage(runLintMarker) }
 
 func runLintMarker(p *Pass) {
-	known := markerNames()
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	files := p.Files
 	if len(p.Files) > 0 {
 		// Every file of the package was parsed from its directory. An

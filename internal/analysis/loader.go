@@ -23,7 +23,6 @@ type Package struct {
 	Path    string // import path, e.g. "repro/internal/bitio"
 	ModPath string // module path, e.g. "repro"
 	ModRoot string // module root directory; "" when positions are already relative
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -83,9 +82,6 @@ func NewLoader(dir string) (*Loader, error) {
 
 // ModPath returns the module path the loader is rooted at.
 func (l *Loader) ModPath() string { return l.modPath }
-
-// ModRoot returns the module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
 
 func moduleName(gomod string) (string, error) {
 	b, err := os.ReadFile(gomod)
@@ -298,7 +294,6 @@ func (l *Loader) typeCheckDir(path, dir string) (*Package, error) {
 		Path:    path,
 		ModPath: l.modPath,
 		ModRoot: l.modRoot,
-		Dir:     dir,
 		Fset:    l.Fset,
 		Files:   files,
 		Types:   tpkg,
@@ -331,11 +326,4 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return pkg.Types, nil
 	}
 	return l.std.Import(path)
-}
-
-// StdImporter returns a source-mode importer over fset for standard
-// library packages. Fixture tests use it to type-check testdata
-// packages that import only the standard library.
-func StdImporter(fset *token.FileSet) types.Importer {
-	return importer.ForCompiler(fset, "source", nil)
 }

@@ -17,11 +17,11 @@ import (
 var NoPanic = &Analyzer{
 	Name: "nopanic",
 	Doc:  "forbid panic/log.Fatal/os.Exit outside cmd/ and examples/",
-	Run:  runNoPanic,
+	Run:  perPackage(runNoPanic),
 }
 
 func runNoPanic(p *Pass) {
-	if nopanicExempt(p.ModPath, p.PkgPath) {
+	if nopanicExempt(p.ModPath, p.Path) {
 		return
 	}
 	for _, f := range p.Files {
@@ -32,13 +32,13 @@ func runNoPanic(p *Pass) {
 			}
 			switch fun := ast.Unparen(call.Fun).(type) {
 			case *ast.Ident:
-				if obj, isBuiltin := p.TypesInfo.Uses[fun].(*types.Builtin); isBuiltin && obj.Name() == "panic" {
+				if obj, isBuiltin := p.Info.Uses[fun].(*types.Builtin); isBuiltin && obj.Name() == "panic" {
 					p.Reportf(call.Pos(),
 						"panic in library package %s; return an error, or annotate //lint:nopanic-ok for an unreachable API-contract guard",
-						p.PkgPath)
+						p.Path)
 				}
 			case *ast.SelectorExpr:
-				obj, isFunc := p.TypesInfo.Uses[fun.Sel].(*types.Func)
+				obj, isFunc := p.Info.Uses[fun.Sel].(*types.Func)
 				if !isFunc || obj.Pkg() == nil {
 					return true
 				}
@@ -47,7 +47,7 @@ func runNoPanic(p *Pass) {
 					(pkg == "os" && name == "Exit") {
 					p.Reportf(call.Pos(),
 						"%s.%s in library package %s; return an error instead (deferred flushes are skipped)",
-						obj.Pkg().Name(), name, p.PkgPath)
+						obj.Pkg().Name(), name, p.Path)
 				}
 			}
 			return true

@@ -33,7 +33,7 @@ import (
 var ShiftWidth = &Analyzer{
 	Name: "shiftwidth",
 	Doc:  "flag variable shift distances not provably below the operand width",
-	Run:  runShiftWidth,
+	Run:  perPackage(runShiftWidth),
 }
 
 func runShiftWidth(p *Pass) {
@@ -42,7 +42,7 @@ func runShiftWidth(p *Pass) {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
 				if n.Op == token.SHL || n.Op == token.SHR {
-					tv := p.TypesInfo.Types[n]
+					tv := p.Info.Types[n]
 					if tv.Value != nil { // whole expression is constant-folded
 						return true
 					}
@@ -50,7 +50,7 @@ func runShiftWidth(p *Pass) {
 				}
 			case *ast.AssignStmt:
 				if n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN {
-					p.checkShift(stack, n, n.Rhs[0], p.TypesInfo.Types[n.Lhs[0]].Type)
+					p.checkShift(stack, n, n.Rhs[0], p.Info.Types[n.Lhs[0]].Type)
 				}
 			}
 			return true
@@ -78,7 +78,7 @@ func (p *Pass) checkShift(stack []ast.Node, node ast.Node, amt ast.Expr, t types
 func (p *Pass) distanceMax(stack []ast.Node, node ast.Node, amt ast.Expr) (int64, bool) {
 	amt = ast.Unparen(amt)
 	// Constant distance.
-	if tv := p.TypesInfo.Types[amt]; tv.Value != nil {
+	if tv := p.Info.Types[amt]; tv.Value != nil {
 		if v, ok := constant.Int64Val(constant.ToInt(tv.Value)); ok {
 			return v, true
 		}
@@ -95,7 +95,7 @@ func (p *Pass) distanceMax(stack []ast.Node, node ast.Node, amt ast.Expr) (int64
 				return c, true
 			}
 		case token.REM: // n % C for unsigned n  =>  <= C-1
-			if c, ok := p.intConst(e.Y); ok && c > 0 && isUnsigned(p.TypesInfo.Types[e.X].Type) {
+			if c, ok := p.intConst(e.Y); ok && c > 0 && isUnsigned(p.Info.Types[e.X].Type) {
 				return c - 1, true
 			}
 		case token.ADD, token.SUB: // base ± C: bound the base, then offset
@@ -121,12 +121,12 @@ func (p *Pass) distanceMax(stack []ast.Node, node ast.Node, amt ast.Expr) (int64
 			}
 		}
 	case *ast.CallExpr: // integer conversion: uint(n)
-		if len(e.Args) == 1 && p.TypesInfo.Types[e.Fun].IsType() &&
-			basicWidth(p.TypesInfo.Types[e.Fun].Type) != 0 {
+		if len(e.Args) == 1 && p.Info.Types[e.Fun].IsType() &&
+			basicWidth(p.Info.Types[e.Fun].Type) != 0 {
 			return p.distanceMax(stack, node, e.Args[0])
 		}
 	case *ast.Ident:
-		obj, ok := p.TypesInfo.Uses[e].(*types.Var)
+		obj, ok := p.Info.Uses[e].(*types.Var)
 		if !ok {
 			return 0, false
 		}
@@ -146,7 +146,7 @@ func (p *Pass) distanceMax(stack []ast.Node, node ast.Node, amt ast.Expr) (int64
 }
 
 func (p *Pass) intConst(e ast.Expr) (int64, bool) {
-	tv := p.TypesInfo.Types[e]
+	tv := p.Info.Types[e]
 	if tv.Value == nil {
 		return 0, false
 	}
@@ -293,7 +293,7 @@ func (p *Pass) definesLoopVar(f *ast.ForStmt, obj *types.Var) bool {
 		return false
 	}
 	for _, lhs := range init.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok && p.TypesInfo.Defs[id] == types.Object(obj) {
+		if id, ok := lhs.(*ast.Ident); ok && p.Info.Defs[id] == types.Object(obj) {
 			return true
 		}
 	}
@@ -303,7 +303,7 @@ func (p *Pass) definesLoopVar(f *ast.ForStmt, obj *types.Var) bool {
 func (p *Pass) loopInitConst(f *ast.ForStmt, obj *types.Var) (int64, bool) {
 	init := f.Init.(*ast.AssignStmt) // checked by definesLoopVar
 	for i, lhs := range init.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok && p.TypesInfo.Defs[id] == types.Object(obj) && i < len(init.Rhs) {
+		if id, ok := lhs.(*ast.Ident); ok && p.Info.Defs[id] == types.Object(obj) && i < len(init.Rhs) {
 			return p.intConst(init.Rhs[i])
 		}
 	}
@@ -321,7 +321,7 @@ func (p *Pass) distanceMin(stack []ast.Node, e ast.Expr) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	obj, ok := p.TypesInfo.Uses[id].(*types.Var)
+	obj, ok := p.Info.Uses[id].(*types.Var)
 	if !ok {
 		return 0, false
 	}
@@ -498,14 +498,14 @@ func (p *Pass) isUseOf(e ast.Expr, obj *types.Var) bool {
 	if !ok {
 		// Tolerate a single integer conversion: uint(n) < 64.
 		if call, isCall := ast.Unparen(e).(*ast.CallExpr); isCall &&
-			len(call.Args) == 1 && p.TypesInfo.Types[call.Fun].IsType() {
+			len(call.Args) == 1 && p.Info.Types[call.Fun].IsType() {
 			id, ok = ast.Unparen(call.Args[0]).(*ast.Ident)
 		}
 		if !ok {
 			return false
 		}
 	}
-	return p.TypesInfo.Uses[id] == obj
+	return p.Info.Uses[id] == obj
 }
 
 // terminates reports whether a block always transfers control out

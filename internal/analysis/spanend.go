@@ -39,7 +39,7 @@ import (
 var SpanEnd = &Analyzer{
 	Name: "spanend",
 	Doc:  "flag trace spans and stage timers whose End is skipped on some exit path",
-	Run:  runSpanEnd,
+	Run:  perPackage(runSpanEnd),
 }
 
 func runSpanEnd(p *Pass) {
@@ -215,7 +215,7 @@ func (p *Pass) startedKind(call *ast.CallExpr) string {
 	if !ok || sel.Sel.Name != "StartChild" && sel.Sel.Name != "Stage" {
 		return ""
 	}
-	s, ok := p.TypesInfo.Selections[sel]
+	s, ok := p.Info.Selections[sel]
 	if !ok {
 		return ""
 	}
@@ -288,7 +288,7 @@ func (p *Pass) spanEscapes(body ast.Node, v *types.Var) bool {
 			return false
 		}
 		id, ok := n.(*ast.Ident)
-		if !ok || p.TypesInfo.Uses[id] != types.Object(v) {
+		if !ok || p.Info.Uses[id] != types.Object(v) {
 			return true
 		}
 		if len(stack) == 0 {
@@ -332,7 +332,7 @@ func (p *Pass) isEndCallOn(call *ast.CallExpr, v *types.Var) bool {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && p.TypesInfo.Uses[id] == types.Object(v)
+	return ok && p.Info.Uses[id] == types.Object(v)
 }
 
 // hasNiladicMethod reports whether t has a parameterless method name.
@@ -349,10 +349,10 @@ func hasNiladicMethod(t types.Type, name string) bool {
 // definedOrUsedVar resolves id whether it is a := definition or an
 // assignment to an existing variable.
 func (p *Pass) definedOrUsedVar(id *ast.Ident) *types.Var {
-	if v, ok := p.TypesInfo.Defs[id].(*types.Var); ok {
+	if v, ok := p.Info.Defs[id].(*types.Var); ok {
 		return v
 	}
-	if v, ok := p.TypesInfo.Uses[id].(*types.Var); ok {
+	if v, ok := p.Info.Uses[id].(*types.Var); ok {
 		return v
 	}
 	return nil

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/token"
 	"regexp"
 	"strings"
@@ -11,43 +10,41 @@ import (
 // silences analyzer <name> on the comment's own line and on the line
 // immediately below it. That covers both placements:
 //
-//	x := a == b //lint:floatcmp-ok exact sentinel comparison
+//	mask := 1<<b - 1 //lint:shiftwidth-ok b <= 63 by the header check
 //
-//	//lint:floatcmp-ok exact sentinel comparison
-//	x := a == b
+//	//lint:shiftwidth-ok b <= 63 by the header check
+//	mask := 1<<b - 1
 //
 // Explanatory prose after the marker is encouraged — the marker is a
 // claim about an invariant, and the prose is where the invariant gets
 // stated for the next reader.
 var suppressRe = regexp.MustCompile(`lint:([a-z][a-z0-9]*)-ok\b`)
 
-type suppressionSet struct {
-	// byFile maps filename -> line -> analyzer names silenced there.
-	byFile map[string]map[int]map[string]bool
-}
+// suppressionSet maps filename -> line -> analyzer names silenced there.
+type suppressionSet map[string]map[int]map[string]bool
 
-func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressionSet {
-	s := &suppressionSet{byFile: make(map[string]map[int]map[string]bool)}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.Contains(c.Text, "lint:") {
-					continue
-				}
-				for _, m := range suppressRe.FindAllStringSubmatch(c.Text, -1) {
-					pos := fset.Position(c.Pos())
-					lines := s.byFile[pos.Filename]
-					if lines == nil {
-						lines = make(map[int]map[string]bool)
-						s.byFile[pos.Filename] = lines
+func collectSuppressions(fset *token.FileSet, pkgs []*Package) suppressionSet {
+	s := make(suppressionSet)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if !strings.Contains(c.Text, "lint:") {
+						continue
 					}
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						set := lines[line]
-						if set == nil {
-							set = make(map[string]bool)
-							lines[line] = set
+					for _, m := range suppressRe.FindAllStringSubmatch(c.Text, -1) {
+						pos := fset.Position(c.Pos())
+						lines := s[pos.Filename]
+						if lines == nil {
+							lines = make(map[int]map[string]bool)
+							s[pos.Filename] = lines
 						}
-						set[m[1]] = true
+						for _, line := range []int{pos.Line, pos.Line + 1} {
+							if lines[line] == nil {
+								lines[line] = make(map[string]bool)
+							}
+							lines[line][m[1]] = true
+						}
 					}
 				}
 			}
@@ -56,10 +53,6 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressionSet
 	return s
 }
 
-func (s *suppressionSet) suppressed(d Diagnostic) bool {
-	lines := s.byFile[d.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	return lines[d.Pos.Line][d.Analyzer]
+func (s suppressionSet) suppressed(f Finding) bool {
+	return s[f.File][f.Line][f.Analyzer]
 }

@@ -47,7 +47,7 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // Unit returns v/|v|; the zero vector is returned unchanged.
 func (v Vec3) Unit() Vec3 {
 	n := v.Norm()
-	if n == 0 { //lint:floatcmp-ok |v| is exactly 0 only for the all-zero vector, the one case to guard
+	if n == 0 {
 		return v
 	}
 	return v.Scale(1 / n)

@@ -97,7 +97,7 @@ func (w *Writer) WriteUnaryN(ns []uint) {
 			acc, used = 0, 0
 		}
 		// n ones and the stop bit as one (n+1)-bit pattern.
-		acc = acc<<(n+1) | (uint64(1)<<(n+1) - 2) //lint:shiftwidth-ok n <= 62 by the branch above, so n+1 <= 63
+		acc = acc<<(n+1) | (uint64(1)<<(n+1) - 2)
 		used += n + 1
 	}
 	if used > 0 {

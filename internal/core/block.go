@@ -133,7 +133,7 @@ func (e *BlockEncoder) recordTrace(block []float64, pb, ecbMax uint, payloadBits
 	minExp, maxExp, seen := 0, 0, false
 	ecqNonZero := len(e.nzIdx)
 	for _, v := range block {
-		if v == 0 { //lint:floatcmp-ok exact zero test selects values that have a binary exponent
+		if v == 0 { // exact zero test selects values that have a binary exponent
 			continue
 		}
 		exp := quant.Exponent(v) // math.Frexp's exponent, without the split

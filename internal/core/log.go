@@ -7,9 +7,9 @@ import "fmt"
 // reduces every site to one untaken branch, and per-block Debug
 // records are gated on the Debug level the encoder caches at reset,
 // so a disabled level never pays for attribute construction.
-// Attribute keys are lowercase_snake string constants — the pastrilint
-// slogkey analyzer enforces this repo-wide, so log consumers (and the
-// README's documented fields) cannot drift.
+// Attribute keys are lowercase_snake string constants; the
+// structured-log tests pin them, so log consumers (and the README's
+// documented fields) cannot drift.
 
 // quartetClass renders a block geometry as the shell-quartet class
 // string used in logs and artifacts, e.g. "36x36" for a (dd|dd) block.

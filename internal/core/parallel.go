@@ -68,7 +68,7 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 				return nil, err
 			}
 			p := getPayload()
-			*p = append((*p)[:0], w.Bytes()...) //lint:hotalloc2-ok pooled buffer: append is in place once warm
+			*p = append((*p)[:0], w.Bytes()...)
 			payloads[b] = p
 		}
 		return payloads, nil
@@ -112,7 +112,7 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 						return
 					}
 					p := getPayload()
-					*p = append((*p)[:0], w.Bytes()...) //lint:hotalloc2-ok pooled buffer: append is in place once warm
+					*p = append((*p)[:0], w.Bytes()...)
 					payloads[b] = p
 				}
 				if local != nil {

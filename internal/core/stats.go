@@ -136,7 +136,7 @@ func (s *Stats) PayloadBits() uint64 {
 // bookkeeping < 0.5 % for ERI workloads.
 func (s *Stats) Fractions() (patternScale, ecq, bookkeeping float64) {
 	total := float64(s.PayloadBits())
-	if total == 0 { //lint:floatcmp-ok exact: total is an integer bit counter converted to float64
+	if total == 0 {
 		return 0, 0, 0
 	}
 	return float64(s.PatternBits+s.ScaleBits) / total,

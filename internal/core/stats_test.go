@@ -121,7 +121,7 @@ func TestStatsMergeNilAndEmptyMap(t *testing.T) {
 func TestStatsFractionsZeroAndExact(t *testing.T) {
 	var s Stats
 	p, e, b := s.Fractions()
-	if p != 0 || e != 0 || b != 0 { //lint:floatcmp-ok exact: zero-total case returns literal zeros
+	if p != 0 || e != 0 || b != 0 {
 		t.Fatalf("empty Fractions = %v %v %v", p, e, b)
 	}
 	s.PatternBits, s.ScaleBits, s.ECQBits, s.HeaderBits = 10, 10, 70, 10

@@ -21,7 +21,7 @@ import (
 func emitTree1Value(w *bitio.Writer, v int64, ecbMax uint) {
 	if ecbMax < 64 {
 		// "1" + value as one (1+ecbMax)-bit pattern.
-		w.WriteBits(1<<ecbMax|uint64(v)&((1<<ecbMax)-1), 1+ecbMax) //lint:shiftwidth-ok ecbMax < 64 by the branch condition
+		w.WriteBits(1<<ecbMax|uint64(v)&((1<<ecbMax)-1), 1+ecbMax)
 	} else {
 		w.WriteBit(1)
 		w.WriteSigned(v, ecbMax)
@@ -39,7 +39,7 @@ func emitTree2Value(w *bitio.Writer, v int64, ecbMax uint) {
 		w.WriteBits(0b110, 3)
 	default:
 		if ecbMax <= 61 {
-			w.WriteBits(0b111<<ecbMax|uint64(v)&((1<<ecbMax)-1), 3+ecbMax) //lint:shiftwidth-ok ecbMax <= 61 by the branch condition
+			w.WriteBits(0b111<<ecbMax|uint64(v)&((1<<ecbMax)-1), 3+ecbMax)
 		} else {
 			w.WriteBits(0b111, 3)
 			w.WriteSigned(v, ecbMax)
@@ -59,7 +59,7 @@ func emitTree3Value(w *bitio.Writer, v int64, ecbMax uint) {
 	default:
 		if ecbMax <= 62 {
 			// "10" + value as one (2+ecbMax)-bit pattern.
-			w.WriteBits(0b10<<ecbMax|uint64(v)&((1<<ecbMax)-1), 2+ecbMax) //lint:shiftwidth-ok ecbMax <= 62 by the branch condition
+			w.WriteBits(0b10<<ecbMax|uint64(v)&((1<<ecbMax)-1), 2+ecbMax)
 		} else {
 			w.WriteBits(0b10, 2)
 			w.WriteSigned(v, ecbMax)

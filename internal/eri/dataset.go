@@ -74,7 +74,7 @@ func SelectQuartets(prepared []*PreparedShell, maxL int, tol float64, maxBlocks 
 		}
 	}
 	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].q != pairs[b].q { //lint:floatcmp-ok sort key: identical stored values compare equal, ties break on indices
+		if pairs[a].q != pairs[b].q {
 			return pairs[a].q > pairs[b].q
 		}
 		if pairs[a].i != pairs[b].i {
@@ -250,7 +250,7 @@ func GenerateBlocks(name string, shells []basis.Shell, opt GenerateOptions) (*Da
 		prepared[i] = Prepare(s)
 	}
 	tol := opt.ScreenTol
-	if tol == 0 { //lint:floatcmp-ok unset-option sentinel: the zero value requests the default
+	if tol == 0 {
 		tol = DefaultScreenTol
 	}
 	quartets, err := SelectQuartets(prepared, l, tol, opt.MaxBlocks)

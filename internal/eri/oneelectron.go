@@ -85,12 +85,12 @@ func OneElectron(bs *basis.BasisSet) (S, T, V []float64, n int) {
 								sum := 0.0
 								for t := 0; t <= ia+ja; t++ {
 									etx := ex.At(ia, ja, t)
-									if etx == 0 { //lint:floatcmp-ok sparsity skip: only exact zeros are skipped, which is always sound
+									if etx == 0 {
 										continue
 									}
 									for u := 0; u <= ib+jb; u++ {
 										ety := etx * ey.At(ib, jb, u)
-										if ety == 0 { //lint:floatcmp-ok sparsity skip: only exact zeros are skipped
+										if ety == 0 {
 											continue
 										}
 										for v := 0; v <= ic+jc; v++ {

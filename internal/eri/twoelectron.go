@@ -132,17 +132,17 @@ func (en *Engine) accumulate(A, B, C, D *PreparedShell, pi, pj, pk, pl int,
 			eyRow := en.eKet[1].Row(eyC, eyD)
 			ezRow := en.eKet[2].Row(ezC, ezD)
 			for tau, ex := range exRow {
-				if ex == 0 { //lint:floatcmp-ok sparsity skip: only exact zeros are skipped, which is always sound
+				if ex == 0 {
 					continue
 				}
 				for mu, ey := range eyRow {
 					exy := ex * ey
-					if exy == 0 { //lint:floatcmp-ok sparsity skip: exact zero product of Hermite coefficients
+					if exy == 0 {
 						continue
 					}
 					for nu, ez := range ezRow {
 						w := exy * ez
-						if w == 0 { //lint:floatcmp-ok sparsity skip: exact zero weight contributes nothing
+						if w == 0 {
 							continue
 						}
 						if (tau+mu+nu)&1 == 1 {
@@ -188,17 +188,17 @@ func (en *Engine) accumulate(A, B, C, D *PreparedShell, pi, pj, pk, pl int,
 			ezRow := en.eBra[2].Row(azA, azB)
 			nw := 0
 			for t, ex := range exRow {
-				if ex == 0 { //lint:floatcmp-ok sparsity skip: only exact zeros are skipped, which is always sound
+				if ex == 0 {
 					continue
 				}
 				for u, ey := range eyRow {
 					exy := ex * ey
-					if exy == 0 { //lint:floatcmp-ok sparsity skip: exact zero product of Hermite coefficients
+					if exy == 0 {
 						continue
 					}
 					rowJ := t*braStride*braStride + u*braStride
 					for v, ez := range ezRow {
-						if w := exy * ez; w != 0 { //lint:floatcmp-ok sparsity skip: exact nonzero weights are kept
+						if w := exy * ez; w != 0 {
 							en.braIdx[nw] = int32(rowJ + v)
 							en.braW[nw] = w
 							nw++

@@ -156,7 +156,7 @@ func Fig3(blocks int) (*Fig3Result, error) {
 	out.Rescaled = make([]float64, cfg.SBSize)
 	out.AbsDeviation = make([]float64, cfg.SBSize)
 	for i := 0; i < cfg.SBSize; i++ {
-		if cmpScale != 0 { //lint:floatcmp-ok division guard: only an exactly-zero scale divides badly
+		if cmpScale != 0 {
 			out.Rescaled[i] = cmp[i] / cmpScale
 		}
 		d := math.Abs(cmp[i] - cmpScale*pat[i])

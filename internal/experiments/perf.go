@@ -77,7 +77,7 @@ func AverageRatio(rows []Fig9Row, eb float64) map[string]float64 {
 	sum := map[string]float64{}
 	n := map[string]int{}
 	for _, r := range rows {
-		if r.EB == eb { //lint:floatcmp-ok grouping key: both sides are the same copied config value
+		if r.EB == eb {
 			sum[r.Codec] += r.Report.Ratio
 			n[r.Codec]++
 		}
@@ -165,7 +165,7 @@ func LosslessBaseline(blocks int) (float64, error) {
 			return 0, err
 		}
 		for i := range recon {
-			if recon[i] != ds.Data[i] { //lint:floatcmp-ok bit-exactness is the property under test (lossless baseline)
+			if recon[i] != ds.Data[i] { // bit-exactness is the property under test (lossless baseline)
 				return 0, fmt.Errorf("experiments: lossless baseline not lossless")
 			}
 		}

@@ -149,7 +149,7 @@ func (s *BlockedStore) scatter(F, D *linalg.Matrix, q eri.Quartet, data []float6
 					l := offD + d
 					v := data[idx]
 					idx++
-					if v == 0 { //lint:floatcmp-ok sparsity skip: screened-out integrals are exactly zero
+					if v == 0 {
 						continue
 					}
 					type quad struct{ i, j, k, l int }

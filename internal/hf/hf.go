@@ -261,7 +261,7 @@ func fock(H, D *linalg.Matrix, eris []float64, n int) *linalg.Matrix {
 			for l := 0; l < n; l++ {
 				for s := 0; s < n; s++ {
 					d := D.At(l, s)
-					if d == 0 { //lint:floatcmp-ok sparsity skip: exact-zero density entries contribute nothing
+					if d == 0 {
 						continue
 					}
 					coul := eris[((m*n+nu)*n+l)*n+s]

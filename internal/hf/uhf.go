@@ -156,10 +156,10 @@ func uhfFock(H, Dsigma, Dtau *linalg.Matrix, eris []float64, n int) *linalg.Matr
 			for l := 0; l < n; l++ {
 				for s := 0; s < n; s++ {
 					dTot := Dsigma.At(l, s) + Dtau.At(l, s)
-					if dTot != 0 { //lint:floatcmp-ok sparsity skip: exact-zero density entries contribute nothing
+					if dTot != 0 {
 						g += dTot * eris[((m*n+nu)*n+l)*n+s]
 					}
-					if ds := Dsigma.At(l, s); ds != 0 { //lint:floatcmp-ok sparsity skip: exact zeros only
+					if ds := Dsigma.At(l, s); ds != 0 {
 						g -= ds * eris[((m*n+l)*n+nu)*n+s]
 					}
 				}

@@ -51,7 +51,7 @@ func Mul(a, b *Matrix) *Matrix {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
 		for k, av := range arow {
-			if av == 0 { //lint:floatcmp-ok sparsity skip: only exact zeros are skipped, which is always sound
+			if av == 0 {
 				continue
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
@@ -238,7 +238,7 @@ func SolveLinear(A *Matrix, b []float64) ([]float64, error) {
 		inv := 1 / A.At(col, col)
 		for r := col + 1; r < n; r++ {
 			f := A.At(r, col) * inv
-			if f == 0 { //lint:floatcmp-ok elimination skip: an exactly-zero factor leaves the row unchanged
+			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {

@@ -173,7 +173,7 @@ func stageDeltas(h tsdb.History) []stageDelta {
 		out = append(out, stageDelta{s, ns})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].ns != out[j].ns { //lint:floatcmp-ok tie-break branch; exact equality only routes to the name comparison
+		if out[i].ns != out[j].ns {
 			return out[i].ns > out[j].ns
 		}
 		return out[i].stage < out[j].stage

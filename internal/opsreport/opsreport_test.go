@@ -146,10 +146,10 @@ func TestDumpRoundTripAndFetch(t *testing.T) {
 	// Fetch against a fake daemon serving the two debug endpoints.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(d.SLO) //lint:errdrop-ok test response write
+		json.NewEncoder(w).Encode(d.SLO)
 	})
 	mux.HandleFunc("/debug/history", func(w http.ResponseWriter, r *http.Request) {
-		d.History.WriteJSON(w) //lint:errdrop-ok test response write
+		d.History.WriteJSON(w)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

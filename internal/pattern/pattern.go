@@ -94,12 +94,12 @@ func (sc *Scratch) Analyze(block []float64, numSB, sbSize int, m Metric) (Result
 		return Result{}, fmt.Errorf("pattern: block has %d points, geometry wants %d×%d=%d",
 			len(block), numSB, sbSize, numSB*sbSize)
 	}
-	sc.scales = growF64(sc.scales, numSB) //lint:hotalloc2-ok grows once to the session geometry, then reused
+	sc.scales = growF64(sc.scales, numSB)
 	switch m {
 	case FR, ER:
 		return analyzePointRatio(block, numSB, sbSize, m, sc.scales), nil
 	case AR, AAR, IS:
-		sc.aggs = growF64(sc.aggs, numSB) //lint:hotalloc2-ok grows once to the session geometry, then reused
+		sc.aggs = growF64(sc.aggs, numSB)
 		switch m {
 		case AR:
 			return analyzeAggregate(block, numSB, sbSize, mean, false, sc.scales, sc.aggs), nil
@@ -195,7 +195,7 @@ func analyzeAggregate(block []float64, numSB, sbSize int, agg func([]float64) fl
 // all-zero pattern) it returns 0 so downstream error correction absorbs
 // everything.
 func safeRatio(a, b float64) float64 {
-	if b == 0 { //lint:floatcmp-ok degenerate-pattern sentinel: only an exactly-zero extremum divides badly
+	if b == 0 {
 		return 0
 	}
 	r := a / b
@@ -261,7 +261,7 @@ func DeviationsInto(dst []float64, block []float64, numSB, sbSize int, res Resul
 		c := res.Scales[s]
 		sb := block[s*sbSize : (s+1)*sbSize]
 		for i, x := range sb {
-			dst = append(dst, x-c*pat[i]) //lint:hotalloc2-ok callers pass pre-sized dst; the append is in-place
+			dst = append(dst, x-c*pat[i])
 		}
 	}
 	return dst

@@ -292,7 +292,7 @@ func (c Config) profileConfig() profring.Config {
 func (c Config) traceConfig() trace.Config {
 	rates := make(map[string]float64)
 	for t, tc := range c.Tenants {
-		if tc.TraceSampleRate != 0 { //lint:floatcmp-ok exact zero is the documented "inherit" sentinel
+		if tc.TraceSampleRate != 0 {
 			rates[t] = tc.TraceSampleRate
 		}
 	}

@@ -325,7 +325,7 @@ func TestIntegrationGracefulShutdownDrains(t *testing.T) {
 	case resp := <-respc:
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusCreated {
-			b, _ := io.ReadAll(resp.Body) //lint:errdrop-ok best-effort diagnostic body
+			b, _ := io.ReadAll(resp.Body)
 			t.Fatalf("in-flight upload during shutdown: status %d: %s", resp.StatusCode, b)
 		}
 	case err := <-errc:

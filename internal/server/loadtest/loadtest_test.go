@@ -122,7 +122,7 @@ func newServer(t *testing.T, cacheBytes int64, mut func(*server.Config)) *httpte
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Close() //lint:errdrop-ok test teardown
+		srv.Close()
 	})
 	return ts
 }

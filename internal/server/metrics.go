@@ -184,7 +184,7 @@ func (m *serverMetrics) tenantQuantiles() map[string]slo.Quantiles {
 // retention evicts them.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	s.WriteTraces(w) //lint:errdrop-ok debug export write; the client going away loses nothing
+	s.WriteTraces(w)
 }
 
 // handleMetrics renders the full Prometheus scrape: pastrid server
@@ -325,10 +325,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// The SLO families come from the most recent evaluation (sampler or
 	// /debug/slo hit); before the first evaluation they are absent.
-	slo.WritePrometheus(w, s.lastSLO.Load()) //lint:errdrop-ok scrape write; a failed scrape only hurts the departed scraper
+	slo.WritePrometheus(w, s.lastSLO.Load())
 
-	telemetry.WriteTenantPrometheus(w, s.collectors) //lint:errdrop-ok scrape write; a failed scrape only hurts the departed scraper
-	telemetry.WriteRuntimePrometheus(w)              //lint:errdrop-ok scrape write; a failed scrape only hurts the departed scraper
+	telemetry.WriteTenantPrometheus(w, s.collectors)
+	telemetry.WriteRuntimePrometheus(w)
 }
 
 // processStart anchors process_start_time_seconds and the uptime

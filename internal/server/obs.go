@@ -103,7 +103,7 @@ func (s *Server) sampleTick(now time.Time, prevStates map[string]slo.State, prev
 	for tenant, col := range s.collectors {
 		if n := anomalyTotal(col); n > prevAnomalies[tenant] {
 			prevAnomalies[tenant] = n
-			s.profiles.CaptureHeap(profring.ReasonFlightAnomaly, tenant, s.lastTraceID()) //lint:errdrop-ok forced capture is best-effort; the skip counter records failures
+			s.profiles.CaptureHeap(profring.ReasonFlightAnomaly, tenant, s.lastTraceID()) // forced capture is best-effort; the skip counter records failures
 		}
 	}
 	s.profiles.Tick(now)
@@ -206,7 +206,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 // handleHistory serves the metrics history ring.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	s.history.History().WriteJSON(w) //lint:errdrop-ok debug export write; the client going away loses nothing
+	s.history.History().WriteJSON(w)
 }
 
 // readyCheck is one readiness dimension in the /readyz body.
@@ -282,5 +282,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func writeJSONIndent(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(v) //lint:errdrop-ok debug export write; the client going away loses nothing
+	enc.Encode(v)
 }

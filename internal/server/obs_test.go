@@ -66,7 +66,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	srv.draining.Store(false)
 
-	srv.st.Close() //lint:errdrop-ok test is forcing the closed state; defer Close tolerates it
+	srv.st.Close() // test is forcing the closed state; defer Close tolerates it
 	if code := getJSON(t, ts, "/readyz", &body); code != http.StatusServiceUnavailable || body.Checks["store"].OK {
 		t.Fatalf("closed store: status %d checks=%+v, want 503 with store failing", code, body.Checks)
 	}
@@ -173,7 +173,7 @@ func TestDebugSLOHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scrape, _ := io.ReadAll(resp.Body) //lint:errdrop-ok test scrape; decode errors surface in the contains check
+	scrape, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if want := `pastrid_slo_state{tenant="it",objective="read_latency"}`; !containsLine(string(scrape), want) {
 		t.Fatalf("scrape missing %s", want)

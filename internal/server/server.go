@@ -104,7 +104,7 @@ func New(cfg Config, logger *slog.Logger) (*Server, error) {
 	}
 	profiles, err := profring.Open(cfg.profileConfig())
 	if err != nil {
-		st.Close() //lint:errdrop-ok constructor is failing; store close is cleanup
+		st.Close()
 		return nil, err
 	}
 	s := &Server{
@@ -234,7 +234,7 @@ func httpError(err error) (int, string) {
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]apiError{ //lint:errdrop-ok error-response write; the client is already failing
+	json.NewEncoder(w).Encode(map[string]apiError{
 		"error": {Code: code, Message: msg},
 	})
 }
@@ -488,7 +488,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, tenant str
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(map[string]any{ //lint:errdrop-ok response write; the stream is already durable
+	json.NewEncoder(w).Encode(map[string]any{
 		"id":           id,
 		"blocks":       blocks,
 		"block_size":   cfg.BlockSize(),
@@ -551,7 +551,7 @@ func (s *Server) handleReadBlock(w http.ResponseWriter, r *http.Request, tenant 
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Pastri-Block-Values", strconv.Itoa(len(data)))
-	w.Write(out) //lint:errdrop-ok response write; the client going away loses nothing durable
+	w.Write(out)
 }
 
 // handleStat returns one stream's metadata.
@@ -568,7 +568,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request, tenant strin
 	}
 	cfg := seg.Config()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{ //lint:errdrop-ok response write; read-only request
+	json.NewEncoder(w).Encode(map[string]any{
 		"id":            id,
 		"blocks":        seg.NumBlocks(),
 		"block_size":    seg.BlockSize(),
@@ -598,7 +598,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, tenant strin
 		out.Streams = append(out.Streams, streamJSON{st.ID, st.SegmentBytes, st.IndexBytes})
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out) //lint:errdrop-ok response write; read-only request
+	json.NewEncoder(w).Encode(out)
 }
 
 // handleDelete removes a stream and its cached blocks.

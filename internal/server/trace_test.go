@@ -107,7 +107,7 @@ func TestRequestTraceTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body) //lint:errdrop-ok body content is not under test here
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return resp.StatusCode, resp.Header.Get("Traceparent")
 	}

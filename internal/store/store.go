@@ -369,7 +369,7 @@ func (s *Store) Get(tenant, id string) (*Segment, error) {
 		// files were being opened. In the last case the handle may hold
 		// the deleted stream's unlinked files, which that Delete could
 		// not close because it never saw the handle, so open again.
-		seg.close() //lint:errdrop-ok the handle never escaped
+		seg.close()
 		switch {
 		case closed:
 			return nil, ErrClosed
@@ -403,7 +403,7 @@ func (s *Store) Delete(tenant, id string) error {
 	s.deletes++
 	if seg := s.open[key(tenant, id)]; seg != nil {
 		delete(s.open, key(tenant, id))
-		seg.close() //lint:errdrop-ok the files are unlinked below regardless
+		seg.close() // the files are unlinked below regardless
 	}
 	if err := os.Remove(idxPath); err != nil {
 		return fmt.Errorf("store: removing index: %w", err)

@@ -236,8 +236,8 @@ func (r *Ring) Tick(now time.Time) {
 	if !due {
 		return
 	}
-	r.CaptureHeap(ReasonPeriodic, "", "")   //lint:errdrop-ok periodic capture is best-effort by design
-	go r.CaptureCPU(ReasonPeriodic, "", "") //lint:errdrop-ok periodic capture is best-effort by design
+	r.CaptureHeap(ReasonPeriodic, "", "")   // periodic capture is best-effort by design
+	go r.CaptureCPU(ReasonPeriodic, "", "") // periodic capture is best-effort by design
 }
 
 // Entries returns the retained entries, oldest first.

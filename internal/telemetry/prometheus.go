@@ -267,6 +267,6 @@ func writeRuntimeMetrics(p *PromWriter) {
 func MetricsHandler(get func() *Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		get().WritePrometheus(w) //lint:errdrop-ok a failed scrape write only hurts the scraper that went away
+		get().WritePrometheus(w)
 	})
 }

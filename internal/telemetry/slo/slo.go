@@ -24,8 +24,8 @@ import (
 	"repro/internal/telemetry/tsdb"
 )
 
-// Objective names one SLO dimension. Constants only — pastrilint's
-// sloconst check rejects string literals at call sites.
+// Objective names one SLO dimension. Constants only, so the namespace
+// stays centrally defined and greppable.
 type Objective string
 
 const (
@@ -77,7 +77,7 @@ func worse(a, b State) State {
 }
 
 // MetricName names a pastrid_slo_* Prometheus family. Typed for the
-// same reason as Objective: sloconst keeps the namespace in constants.
+// same reason as Objective: the namespace stays in constants.
 type MetricName string
 
 const (
@@ -113,19 +113,19 @@ const (
 )
 
 func (o TenantObjectives) withDefaults(d TenantObjectives) TenantObjectives {
-	if o.ReadP99MS == 0 { //lint:floatcmp-ok exact zero is the documented "inherit" sentinel
+	if o.ReadP99MS == 0 {
 		o.ReadP99MS = d.ReadP99MS
 	}
-	if o.UploadP99MS == 0 { //lint:floatcmp-ok exact zero is the documented "inherit" sentinel
+	if o.UploadP99MS == 0 {
 		o.UploadP99MS = d.UploadP99MS
 	}
-	if o.LatencyObjective == 0 { //lint:floatcmp-ok exact zero is the documented "inherit" sentinel
+	if o.LatencyObjective == 0 {
 		o.LatencyObjective = d.LatencyObjective
 	}
-	if o.ErrorObjective == 0 { //lint:floatcmp-ok exact zero is the documented "inherit" sentinel
+	if o.ErrorObjective == 0 {
 		o.ErrorObjective = d.ErrorObjective
 	}
-	if o.EBObjective == 0 { //lint:floatcmp-ok exact zero is the documented "inherit" sentinel
+	if o.EBObjective == 0 {
 		o.EBObjective = d.EBObjective
 	}
 	return o

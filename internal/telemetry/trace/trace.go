@@ -228,7 +228,7 @@ func (t *Tracer) StartRequest(name, tenant, traceparent string) *Span {
 		sampled = t.rand01() < t.sampleRate(tenant)
 	}
 	s.spanID = t.newSpanID()
-	s.start = time.Now() //lint:detlint-ok wall-clock span timestamps are observability-only, never encoded output
+	s.start = time.Now()
 	if !sampled {
 		return s
 	}
@@ -255,7 +255,7 @@ func (t *Tracer) FinishRequest(root *Span) (retained bool, reason string) {
 	if t == nil || root == nil || !root.root {
 		return false, ""
 	}
-	dur := time.Since(root.start) //lint:detlint-ok wall-clock span timestamps are observability-only, never encoded output
+	dur := time.Since(root.start)
 	t.tracesFinished.Add(1)
 	at := root.at
 	if at == nil {
@@ -452,13 +452,13 @@ func (s *Span) StartChild(name string) *Span {
 	}
 	at := s.at
 	t := s.tracer
-	//lint:hotalloc2-ok sampled-trace slow path: reached from hot kernels only when a span is recording; the nil-span fast path above allocates nothing
+	// Sampled-trace slow path: reached from hot kernels only when a span is recording; the nil-span fast path above allocates nothing
 	child := &Span{
 		tracer:   t,
 		traceID:  s.traceID,
 		spanID:   t.newSpanID(),
 		parentID: s.spanID,
-		start:    time.Now(), //lint:detlint-ok wall-clock span timestamps are observability-only, never encoded output
+		start:    time.Now(),
 	}
 	at.mu.Lock()
 	if len(at.spans) >= at.maxSpans {
@@ -469,7 +469,7 @@ func (s *Span) StartChild(name string) *Span {
 	}
 	child.at = at
 	child.idx = len(at.spans)
-	//lint:hotalloc2-ok sampled-trace slow path: span storage grows only while a trace is recording
+	// Sampled-trace slow path: span storage grows only while a trace is recording
 	at.spans = append(at.spans, SpanData{
 		SpanID:      child.spanID.String(),
 		ParentID:    s.spanID.String(),
@@ -501,7 +501,7 @@ func (s *Span) RecordChild(name string, start time.Time, d time.Duration) {
 		t.spansDropped.Add(1)
 		return
 	}
-	//lint:hotalloc2-ok sampled-trace slow path: span storage grows only while a trace is recording
+	// Sampled-trace slow path: span storage grows only while a trace is recording
 	at.spans = append(at.spans, SpanData{
 		SpanID:      spanID.String(),
 		ParentID:    s.spanID.String(),
@@ -520,7 +520,7 @@ func (s *Span) End() {
 	if s == nil || s.at == nil || s.root {
 		return
 	}
-	dur := time.Since(s.start) //lint:detlint-ok wall-clock span timestamps are observability-only, never encoded output
+	dur := time.Since(s.start)
 	at := s.at
 	s.at = nil
 	at.mu.Lock()
@@ -538,7 +538,7 @@ func (s *Span) Annotate(key, value string) {
 	}
 	at := s.at
 	at.mu.Lock()
-	//lint:hotalloc2-ok sampled-trace slow path: attributes accumulate only while a trace is recording
+	// Sampled-trace slow path: attributes accumulate only while a trace is recording
 	at.spans[s.idx].Attrs = append(at.spans[s.idx].Attrs, Attr{Key: key, Value: value})
 	at.mu.Unlock()
 }
@@ -562,7 +562,6 @@ func (s *Span) SetError(err error) {
 	at.mu.Lock()
 	at.spans[s.idx].Error = true
 	if err != nil {
-		//lint:hotalloc2-ok error path: annotating a failed span is never hot
 		at.spans[s.idx].Attrs = append(at.spans[s.idx].Attrs, Attr{Key: "error_detail", Value: err.Error()})
 	}
 	at.err = true

@@ -14,9 +14,9 @@
 // acquisition per tick captures a mutually consistent view, and window
 // lookups are a binary search over at most depth entries.
 //
-// Series are identified by typed Key constants — the pastrilint
-// sloconst analyzer rejects ad-hoc string literals at call sites, so
-// the key namespace stays centrally defined and greppable.
+// Series are identified by typed Key constants rather than ad-hoc
+// string literals at call sites, so the key namespace stays centrally
+// defined and greppable.
 package tsdb
 
 import (
@@ -27,10 +27,9 @@ import (
 	"time"
 )
 
-// Key names one series in a sample. Keys are lowercase_snake constants
-// (enforced by pastrilint's sloconst check); composite keys for
-// per-tenant or per-stage series are built with ForTenant and StageNS,
-// never with inline literals.
+// Key names one series in a sample. Keys are lowercase_snake
+// constants; composite keys for per-tenant or per-stage series are
+// built with ForTenant and StageNS, never with inline literals.
 type Key string
 
 // The canonical pastrid series schema. Per-tenant series are these

@@ -113,7 +113,7 @@ func encodeBlock(w *bitio.Writer, blk *[blockLen]float64, tol float64) {
 			maxAbs = a
 		}
 	}
-	if maxAbs == 0 || maxAbs < tol/8 { //lint:floatcmp-ok all-zero-block flag; the tolerance clause handles near-zero
+	if maxAbs == 0 || maxAbs < tol/8 {
 		// Entirely below tolerance: emit the all-zero flag. (ZFP's
 		// accuracy mode likewise spends ~1 bit on negligible blocks.)
 		w.WriteBit(1)
