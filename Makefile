@@ -84,7 +84,7 @@ bench-smoke:
 BENCHTIME ?= 2s
 BENCH_COUNT ?= 3
 KERNEL_BENCHES = ^(BenchmarkCompressWorkers|BenchmarkCompressWorkersFF|BenchmarkDecompressCollect|BenchmarkDecodeBlock|BenchmarkBlockCodec)$$
-FIGURE_BENCHES = ^(BenchmarkFig|BenchmarkAblation|BenchmarkHybrid|BenchmarkOutput|BenchmarkParallelScaling|BenchmarkParallelStreamWriter|BenchmarkTelemetryOverhead)
+FIGURE_BENCHES = ^(BenchmarkFig|BenchmarkAblation|BenchmarkHybrid|BenchmarkOutput|BenchmarkParallelScaling|BenchmarkStreamWriter|BenchmarkTelemetryOverhead)
 
 bench-json:
 	@rm -f bench_current.txt

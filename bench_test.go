@@ -29,21 +29,19 @@ import (
 // minutes.
 const benchBlocks = 300
 
-func getDataset(b *testing.B, mol string, l int) *struct {
+type benchDataset struct {
 	data          []float64
 	numSB, sbSize int
 	rawBytes      int64
-} {
+}
+
+func getDataset(b *testing.B, mol string, l int) *benchDataset {
 	b.Helper()
 	ds, err := dataset.Get(dataset.Spec{Molecule: mol, L: l, MaxBlocks: benchBlocks})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &struct {
-		data          []float64
-		numSB, sbSize int
-		rawBytes      int64
-	}{ds.Data, ds.NumSB, ds.SBSize, int64(ds.SizeBytes())}
+	return &benchDataset{ds.Data, ds.NumSB, ds.SBSize, int64(ds.SizeBytes())}
 }
 
 // ------------------------------------------------------------------
@@ -360,43 +358,13 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressWorkers compares the serial path against
-// CompressWorkers at 2/4/8 workers on ERI-shaped blocks. Output bytes
-// are identical at every worker count (asserted once up front), so this
+// BenchmarkCompressWorkers compares the serial path (Options.Workers
+// = 1) against 2/4/8 workers on ERI-shaped blocks. Output bytes are
+// identical at every worker count (asserted once up front), so this
 // measures pure scheduling overhead/speedup. Speedup tracks physical
 // cores; on a single-core machine the curve is flat.
 func BenchmarkCompressWorkers(b *testing.B) {
-	ds := getDataset(b, "alanine", 2)
-	opts := pastri.NewOptions(ds.numSB, ds.sbSize, 1e-10)
-	serial, err := pastri.CompressWorkers(ds.data, opts, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(ds.rawBytes)
-		for i := 0; i < b.N; i++ {
-			if _, err := pastri.CompressWorkers(ds.data, opts, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			comp, err := pastri.CompressWorkers(ds.data, opts, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !bytes.Equal(comp, serial) {
-				b.Fatalf("workers=%d output differs from serial", workers)
-			}
-			b.SetBytes(ds.rawBytes)
-			for i := 0; i < b.N; i++ {
-				if _, err := pastri.CompressWorkers(ds.data, opts, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchCompressWorkers(b, getDataset(b, "alanine", 2))
 }
 
 // BenchmarkCompressWorkersFF runs the same worker sweep on the
@@ -404,23 +372,32 @@ func BenchmarkCompressWorkers(b *testing.B) {
 // heavyweight shape — and is the acceptance gate for kernel-level
 // optimisations (see BENCH_PR9.json for the tracked trajectory).
 func BenchmarkCompressWorkersFF(b *testing.B) {
-	ds := getDataset(b, "alanine", 3)
+	benchCompressWorkers(b, getDataset(b, "alanine", 3))
+}
+
+// benchCompressWorkers is the worker sweep behind both benchmarks; the
+// sub-benchmark names (serial, workers2/4/8) are what bench-gate and
+// the committed BENCH records key on.
+func benchCompressWorkers(b *testing.B, ds *benchDataset) {
 	opts := pastri.NewOptions(ds.numSB, ds.sbSize, 1e-10)
-	serial, err := pastri.CompressWorkers(ds.data, opts, 1)
+	opts.Workers = 1
+	serial, err := pastri.Compress(ds.data, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		b.SetBytes(ds.rawBytes)
 		for i := 0; i < b.N; i++ {
-			if _, err := pastri.CompressWorkers(ds.data, opts, 1); err != nil {
+			if _, err := pastri.Compress(ds.data, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			comp, err := pastri.CompressWorkers(ds.data, opts, workers)
+			opts := opts
+			opts.Workers = workers
+			comp, err := pastri.Compress(ds.data, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -429,7 +406,7 @@ func BenchmarkCompressWorkersFF(b *testing.B) {
 			}
 			b.SetBytes(ds.rawBytes)
 			for i := 0; i < b.N; i++ {
-				if _, err := pastri.CompressWorkers(ds.data, opts, workers); err != nil {
+				if _, err := pastri.Compress(ds.data, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -470,17 +447,20 @@ func BenchmarkDecompressCollect(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelStreamWriter measures the incremental parallel path:
-// blocks submitted one at a time, payloads sequenced in order.
-func BenchmarkParallelStreamWriter(b *testing.B) {
+// BenchmarkStreamWriter measures the incremental path: blocks submitted
+// one at a time, encoded over Options.Workers goroutines, payloads
+// sequenced in order.
+func BenchmarkStreamWriter(b *testing.B) {
 	ds := getDataset(b, "alanine", 2)
 	opts := pastri.NewOptions(ds.numSB, ds.sbSize, 1e-10)
 	bs := opts.BlockSize()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			opts := opts
+			opts.Workers = workers
 			b.SetBytes(ds.rawBytes)
 			for i := 0; i < b.N; i++ {
-				w, err := pastri.NewParallelStreamWriter(io.Discard, opts, workers)
+				w, err := pastri.NewStreamWriter(io.Discard, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

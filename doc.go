@@ -23,7 +23,9 @@
 //	orig, err := pastri.Decompress(comp)
 //
 // Every block is compressed and decompressed independently, so both
-// directions parallelize across blocks (Options.Workers).
+// directions parallelize across blocks: Compress and StreamWriter encode
+// over Options.Workers goroutines, DecompressWorkers decodes over the
+// count it is given, and the bytes never depend on the worker count.
 //
 // The repository also contains everything needed to regenerate the
 // paper's evaluation: a from-scratch Gaussian-integral engine standing

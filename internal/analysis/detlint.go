@@ -14,7 +14,7 @@ import (
 // wall-clock time, random numbers, or which goroutine happens to finish
 // first. The analyzer computes the set of functions reachable (via the
 // flow call graph) from the output roots — any function whose name
-// starts with Compress, and every method of ParallelStreamWriter — and
+// starts with Compress, and every method of StreamWriter — and
 // inside that set flags:
 //
 //   - range over a map (iteration order is randomized per run);
@@ -30,7 +30,7 @@ import (
 // cannot reach the output bytes.
 var DetLint = &Analyzer{
 	Name: "detlint",
-	Doc:  "flag nondeterminism (map ranges, clock, rand, racy selects) reachable from Compress*/ParallelStreamWriter",
+	Doc:  "flag nondeterminism (map ranges, clock, rand, racy selects) reachable from Compress*/StreamWriter",
 	Run:  runDetLint,
 }
 
@@ -48,7 +48,7 @@ func detRoot(fn *flow.Func) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "ParallelStreamWriter"
+	return ok && named.Obj().Name() == "StreamWriter"
 }
 
 func runDetLint(p *Pass) {

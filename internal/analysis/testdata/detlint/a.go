@@ -6,7 +6,7 @@ import (
 )
 
 // Positives: nondeterminism inside functions reachable from the
-// determinism roots (Compress* functions, ParallelStreamWriter
+// determinism roots (Compress* functions, StreamWriter
 // methods).
 
 // CompressStream is a root by name.
@@ -27,14 +27,14 @@ func shuffleHelper(b []byte) {
 	})
 }
 
-// ParallelStreamWriter mirrors the real sequencer type: every method
+// StreamWriter mirrors the real sequencer type: every method
 // is a root.
-type ParallelStreamWriter struct {
+type StreamWriter struct {
 	done chan int
 	aux  chan int
 }
 
-func (w *ParallelStreamWriter) Flush() time.Time {
+func (w *StreamWriter) Flush() time.Time {
 	select { // want "select with 2 communication clauses in Flush"
 	case <-w.done:
 	case <-w.aux:
@@ -45,7 +45,7 @@ func (w *ParallelStreamWriter) Flush() time.Time {
 
 // stampHelper is dangerous because the Flush root reaches it.
 func stampHelper() time.Duration {
-	return time.Since(time.Time{}) // want "time.Since in stampHelper \\(reachable via fixtures.\\(\\*ParallelStreamWriter\\).Flush → fixtures.stampHelper\\)"
+	return time.Since(time.Time{}) // want "time.Since in stampHelper \\(reachable via fixtures.\\(\\*StreamWriter\\).Flush → fixtures.stampHelper\\)"
 }
 
 // Suppressed: telemetry timing on an output path, with justification.
@@ -66,7 +66,7 @@ func coldSummary(m map[string]int) int {
 
 // Clean: single-case select with default (non-blocking poll) makes no
 // cross-channel choice.
-func (w *ParallelStreamWriter) poll() bool {
+func (w *StreamWriter) poll() bool {
 	select {
 	case <-w.done:
 		return true

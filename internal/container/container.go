@@ -24,10 +24,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log/slog"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -138,67 +137,32 @@ func (w *Writer) Bytes() ([]byte, error) {
 
 // compressSections compresses every section into its own stream,
 // fanning sections out over a bounded pool. streams[i] depends only on
-// section i's blocks and the base config, never on scheduling. Each
-// section's internal block fan-out is disabled (Workers=1) in favor of
-// section-level parallelism when there are several sections; a
-// single-section container still parallelizes over its blocks.
+// section i's blocks and the base config, never on scheduling. When
+// sections run in parallel, each section's internal block fan-out is
+// disabled (Workers=1) in favor of section-level parallelism; a lone
+// section, or a one-worker base config, keeps the base Workers setting
+// for its blocks.
 func (w *Writer) compressSections() ([][]byte, error) {
 	streams := make([][]byte, len(w.geos))
-	workers := w.cfgBase.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(w.geos) {
-		workers = len(w.geos)
-	}
-	if workers <= 1 {
-		for i, g := range w.geos {
+	workers := par.Workers(w.cfgBase.Workers, len(w.geos))
+	err := par.Each(len(w.geos), workers, func(next func() (int, bool)) error {
+		for i, ok := next(); ok; i, ok = next() {
 			cfg := w.cfgBase
-			cfg.NumSB, cfg.SBSize = g.NumSB, g.SBSize
+			cfg.NumSB, cfg.SBSize = w.geos[i].NumSB, w.geos[i].SBSize
+			if workers > 1 {
+				cfg.Workers = 1 // section-level parallelism only
+			}
 			stream, err := core.Compress(w.raw[i], cfg, nil)
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("container: section %d: %w", i, err)
 			}
 			streams[i] = stream
-			w.logSection(i, g, len(stream))
+			w.logSection(i, w.geos[i], len(stream))
 		}
-		return streams, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int, len(w.geos))
-	for i := range w.geos {
-		next <- i
-	}
-	close(next)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				cfg := w.cfgBase
-				cfg.NumSB, cfg.SBSize = w.geos[i].NumSB, w.geos[i].SBSize
-				cfg.Workers = 1 // section-level parallelism only
-				stream, err := core.Compress(w.raw[i], cfg, nil)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("container: section %d: %w", i, err)
-					}
-					mu.Unlock()
-					return
-				}
-				streams[i] = stream
-				w.logSection(i, w.geos[i], len(stream))
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return streams, nil
 }

@@ -126,6 +126,30 @@ func TestWriterValidation(t *testing.T) {
 	}
 }
 
+// TestSectionErrorNamesSection: a section that cannot be compressed
+// (values near 1e300 under EB 1e-300 need a 65-bit ECQ) fails Bytes
+// with an error naming that section, at every worker count.
+func TestSectionErrorNamesSection(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		base := core.Defaults(1, 1, 1e-300)
+		base.Workers = workers
+		w, err := NewWriter(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteBlock(Geometry{2, 2}, []float64{0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteBlock(Geometry{2, 4}, []float64{1e300, -1e300, 1e299, 2e299, 1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = w.Bytes()
+		if err == nil || !strings.HasPrefix(err.Error(), "container: section 1: ") {
+			t.Errorf("workers=%d: Bytes error = %v, want one naming section 1", workers, err)
+		}
+	}
+}
+
 func TestReaderCorruption(t *testing.T) {
 	w, _ := NewWriter(core.Defaults(1, 1, 1e-10))
 	_ = w.WriteBlock(Geometry{2, 2}, make([]float64, 4))

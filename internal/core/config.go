@@ -14,6 +14,12 @@
 // within the user's absolute error bound EB. The EC stage absorbs both
 // natural deviations and the quantization error of P and S, so the bound
 // holds unconditionally.
+//
+// Blocks are self-contained, so Compress and Decompress fan blocks out
+// over a bounded worker pool (par.Each), and StreamWriter, the one
+// incremental writer, pipelines them through Config.Workers encoders
+// and an in-order sequencer; the stream bytes are the same at every
+// worker count.
 package core
 
 import (
@@ -45,7 +51,7 @@ type Config struct {
 	// DisableSparse forces the dense ECQ representation, for ablation of
 	// the sparse/dense adaptive choice.
 	DisableSparse bool
-	// Workers caps parallelism for stream compression; 0 means
+	// Workers caps parallelism for Compress and StreamWriter; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Observer carries the runtime-only observability side channels —

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitio"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -18,31 +18,16 @@ import (
 // worker encodes blocks against the same Config with private scratch
 // state, and only the assembly into the stream is ordered. Both the
 // one-shot path (Compress / CompressWorkers) and the incremental path
-// (ParallelStreamWriter) are built on that property and produce output
-// byte-identical to the serial encoder for every worker count — the
-// stream contains no trace of how many goroutines built it.
-
-// normalizeWorkers resolves a requested worker count: non-positive
-// means GOMAXPROCS, and nblocks (when non-negative) caps useful
-// parallelism.
-func normalizeWorkers(workers, nblocks int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if nblocks >= 0 && workers > nblocks {
-		workers = nblocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
+// (StreamWriter) are built on that property and produce the same block
+// payloads for every worker count — the stream contains no trace of how
+// many goroutines built it.
 
 // compressPayloads compresses every block of data (a whole number of
 // blocks, pre-validated by the caller) into its own pooled byte buffer,
-// fanning out over workers goroutines. payloads[b] depends only on the
-// block contents and cfg, never on the worker count or schedule. If
-// stats is non-nil, per-worker accumulators are merged into it.
+// fanning out over workers goroutines (see par.Each). payloads[b]
+// depends only on the block contents and cfg, never on the worker count
+// or schedule. If stats is non-nil, per-worker accumulators are merged
+// into it.
 //
 // Encoders and payload buffers come from the package pools: the caller
 // must hand the returned buffers back via putPayloads once their
@@ -54,79 +39,39 @@ func compressPayloads(data []float64, cfg Config, workers int, stats *Stats) ([]
 	bs := cfg.BlockSize()
 	nblocks := len(data) / bs
 	payloads := make([]*[]byte, nblocks) //lint:hotalloc2-ok one slice per call, not per block
-	workers = normalizeWorkers(workers, nblocks)
-
-	if workers <= 1 {
-		enc := getEncoder(cfg)
-		defer putEncoder(enc)
-		enc.CollectStats(stats)
-		w := bitio.NewWriter(bs)
-		for b := 0; b < nblocks; b++ {
-			w.Reset()
-			if err := enc.EncodeBlock(w, data[b*bs:(b+1)*bs]); err != nil {
-				putPayloads(payloads)
-				return nil, err
+	var mu sync.Mutex
+	//lint:hotalloc2-ok one worker closure per call, not per block
+	err := par.Each(nblocks, workers, func(next func() (int, bool)) (err error) {
+		//lint:hotalloc2-ok one label closure per worker, not per block
+		cfg.Do(profStageEncode, func() {
+			enc := getEncoder(cfg)
+			defer putEncoder(enc)
+			var local *Stats
+			if stats != nil {
+				local = NewStats()
+				enc.CollectStats(local)
 			}
-			p := getPayload()
-			*p = append((*p)[:0], w.Bytes()...)
-			payloads[b] = p
-		}
-		return payloads, nil
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	split := cfg.Stage(telemetry.StageBlockSplit)
-	next := make(chan int, nblocks) //lint:hotalloc2-ok one channel per call, not per block
-	for b := 0; b < nblocks; b++ {
-		next <- b
-	}
-	close(next)
-	split.End()
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		//lint:hotalloc2-ok one worker closure per goroutine at stream start, not per block
-		go func() {
-			defer wg.Done()
-			//lint:hotalloc2-ok one label closure per worker, not per block
-			cfg.Do(profStageEncode, func() {
-				enc := getEncoder(cfg)
-				defer putEncoder(enc)
-				var local *Stats
-				if stats != nil {
-					local = NewStats()
-					enc.CollectStats(local)
+			w := bitio.NewWriter(bs)
+			for b, ok := next(); ok; b, ok = next() {
+				w.Reset()
+				if err = enc.EncodeBlock(w, data[b*bs:(b+1)*bs]); err != nil {
+					return
 				}
-				w := bitio.NewWriter(bs)
-				for b := range next {
-					w.Reset()
-					if err := enc.EncodeBlock(w, data[b*bs:(b+1)*bs]); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					p := getPayload()
-					*p = append((*p)[:0], w.Bytes()...)
-					payloads[b] = p
-				}
-				if local != nil {
-					mu.Lock()
-					stats.Merge(local)
-					mu.Unlock()
-				}
-			})
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
+				p := getPayload()
+				*p = append((*p)[:0], w.Bytes()...)
+				payloads[b] = p
+			}
+			if local != nil {
+				mu.Lock()
+				stats.Merge(local)
+				mu.Unlock()
+			}
+		})
+		return err
+	})
+	if err != nil {
 		putPayloads(payloads)
-		return nil, firstErr
+		return nil, err
 	}
 	return payloads, nil
 }
@@ -142,42 +87,42 @@ func CompressWorkers(data []float64, cfg Config, workers int, stats *Stats) ([]b
 	return Compress(data, cfg, stats)
 }
 
-// pswJob carries one submitted block to a worker; seq is the block's
+// swJob carries one submitted block to a worker; seq is the block's
 // position in submission order.
-type pswJob struct {
+type swJob struct {
 	seq  uint64
 	data []float64
 }
 
-// pswResult carries one compressed payload (or the encoder's error)
+// swResult carries one compressed payload (or the encoder's error)
 // back to the sequencer. The payload buffer is pooled: the sequencer
 // returns it via putPayload after writing (or discarding) it.
-type pswResult struct {
+type swResult struct {
 	seq     uint64
 	payload *[]byte
 	err     error
 }
 
-// ParallelStreamWriter compresses blocks incrementally like
-// StreamWriter, but fans the per-block encoding out over a bounded
-// worker pool. A sequencer goroutine writes finished payloads to the
-// underlying writer strictly in submission order, so the produced
-// stream is byte-identical to what StreamWriter emits for the same
-// blocks — same header, same block order, no reordering.
+// StreamWriter compresses blocks incrementally to an underlying writer,
+// fanning the per-block encoding out over a bounded worker pool. A
+// sequencer goroutine writes finished payloads strictly in submission
+// order, so the produced stream is byte-identical to what Compress
+// emits for the same blocks, except that the header carries the
+// streaming block-count sentinel — at every worker count.
 //
 // WriteBlock may return an encoding error on a later call than the
 // block that caused it (the pipeline is asynchronous); Close always
 // reports the first error in block order. WriteBlock and Close must be
 // called from a single goroutine.
-type ParallelStreamWriter struct {
+type StreamWriter struct {
 	w       *bufio.Writer
 	cfg     Config
 	workers int
 
 	started bool
 	closed  bool
-	jobs    chan pswJob
-	results chan pswResult
+	jobs    chan swJob
+	results chan swResult
 	seqDone chan struct{}
 	wg      sync.WaitGroup
 
@@ -187,17 +132,14 @@ type ParallelStreamWriter struct {
 	errMu     sync.Mutex
 	firstErr  error // first error in block order (sequencer) or setup order
 
-	stats       *Stats
-	workerStats []*Stats
-
 	blockPool sync.Pool
 }
 
-// NewParallelStreamWriter writes a stream header to w and returns a
-// writer that compresses each WriteBlock over a pool of workers
-// goroutines (non-positive ⇒ GOMAXPROCS). The caller must Close it to
-// drain the pipeline and flush buffered output.
-func NewParallelStreamWriter(w io.Writer, cfg Config, workers int) (*ParallelStreamWriter, error) {
+// NewStreamWriter writes a stream header to w and returns a writer that
+// compresses each WriteBlock over cfg.Workers goroutines (0 ⇒
+// GOMAXPROCS). The caller must Close it to drain the pipeline and flush
+// buffered output.
+func NewStreamWriter(w io.Writer, cfg Config) (*StreamWriter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -207,63 +149,50 @@ func NewParallelStreamWriter(w io.Writer, cfg Config, workers int) (*ParallelStr
 		return nil, err
 	}
 	cfg.Collector.AddFramingBytes(len(hdr))
-	return &ParallelStreamWriter{
+	return &StreamWriter{
 		w:       bw,
 		cfg:     cfg,
-		workers: normalizeWorkers(workers, -1),
+		workers: par.Workers(cfg.Workers, -1),
 	}, nil
 }
 
-// CollectStats attaches a statistics sink. It must be called before the
-// first WriteBlock; later calls are ignored.
-func (s *ParallelStreamWriter) CollectStats(st *Stats) {
-	if !s.started {
-		s.stats = st
-	}
-}
-
 // start spins up the worker pool and the sequencer. Deferred to the
-// first WriteBlock so CollectStats can attach beforehand.
-func (s *ParallelStreamWriter) start() {
+// first WriteBlock, so a writer that is never written to starts no
+// goroutines.
+func (s *StreamWriter) start() {
 	s.started = true
-	s.jobs = make(chan pswJob, 2*s.workers)
-	s.results = make(chan pswResult, 2*s.workers)
+	s.jobs = make(chan swJob, 2*s.workers)
+	s.results = make(chan swResult, 2*s.workers)
 	s.seqDone = make(chan struct{})
 	for wk := 0; wk < s.workers; wk++ {
-		var local *Stats
-		if s.stats != nil {
-			local = NewStats()
-			s.workerStats = append(s.workerStats, local)
-		}
 		s.wg.Add(1)
-		go s.worker(local)
+		go s.worker()
 	}
 	go s.sequencer()
 }
 
-func (s *ParallelStreamWriter) worker(local *Stats) {
+func (s *StreamWriter) worker() {
 	defer s.wg.Done()
 	// One label scope per worker lifetime, not per block: CPU samples in
 	// the whole encode loop are attributed to tenant×route×stage=encode.
-	s.cfg.Do(profStageEncode, func() { s.encodeLoop(local) })
+	s.cfg.Do(profStageEncode, s.encodeLoop)
 }
 
-func (s *ParallelStreamWriter) encodeLoop(local *Stats) {
+func (s *StreamWriter) encodeLoop() {
 	enc := getEncoder(s.cfg)
 	defer putEncoder(enc)
-	enc.CollectStats(local)
 	bw := bitio.NewWriter(s.cfg.BlockSize())
 	for j := range s.jobs {
 		if s.failed.Load() {
 			// A preceding block already failed; the stream is dead, so
 			// skip the encoding work and let the sequencer discard this.
-			s.results <- pswResult{seq: j.seq, err: errAborted}
+			s.results <- swResult{seq: j.seq, err: errAborted}
 			s.blockPool.Put(&j.data)
 			continue
 		}
 		bw.Reset()
 		err := enc.EncodeBlock(bw, j.data)
-		res := pswResult{seq: j.seq, err: err}
+		res := swResult{seq: j.seq, err: err}
 		if err == nil {
 			p := getPayload()
 			*p = append((*p)[:0], bw.Bytes()...)
@@ -284,13 +213,13 @@ var errAborted = fmt.Errorf("core: block skipped after earlier error")
 // Receive gaps are recorded as sequencer-wait time and the varint+
 // payload writes as write time, so a snapshot distinguishes "workers
 // can't keep the sequencer fed" from "the sink is slow".
-func (s *ParallelStreamWriter) sequencer() {
+func (s *StreamWriter) sequencer() {
 	defer close(s.seqDone)
 	s.cfg.Do(profStageSequencer, s.sequence)
 }
 
-func (s *ParallelStreamWriter) sequence() {
-	pending := make(map[uint64]pswResult) //lint:hotalloc2-ok one map per stream, not per block; sequence runs once per writer
+func (s *StreamWriter) sequence() {
+	pending := make(map[uint64]swResult) //lint:hotalloc2-ok one map per stream, not per block; sequence runs once per writer
 	var nextSeq uint64
 	var lenBuf [binary.MaxVarintLen64]byte
 	dead := false
@@ -340,7 +269,7 @@ func (s *ParallelStreamWriter) sequence() {
 // fail records the first error (in block order, since only the
 // sequencer calls it for encoding/write failures) and flags the
 // pipeline so workers stop encoding.
-func (s *ParallelStreamWriter) fail(err error) {
+func (s *StreamWriter) fail(err error) {
 	s.errMu.Lock()
 	if s.firstErr == nil && err != errAborted {
 		s.firstErr = err
@@ -349,7 +278,7 @@ func (s *ParallelStreamWriter) fail(err error) {
 	s.failed.Store(true)
 }
 
-func (s *ParallelStreamWriter) err() error {
+func (s *StreamWriter) err() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
 	return s.firstErr
@@ -359,9 +288,9 @@ func (s *ParallelStreamWriter) err() error {
 // compression. The block is copied, so the caller may reuse it
 // immediately. Encoding errors may surface on a later WriteBlock or on
 // Close.
-func (s *ParallelStreamWriter) WriteBlock(block []float64) error {
+func (s *StreamWriter) WriteBlock(block []float64) error {
 	if s.closed {
-		return fmt.Errorf("core: write on closed ParallelStreamWriter")
+		return fmt.Errorf("core: write on closed StreamWriter")
 	}
 	if len(block) != s.cfg.BlockSize() {
 		return fmt.Errorf("core: block has %d points, config wants %d", len(block), s.cfg.BlockSize())
@@ -380,21 +309,21 @@ func (s *ParallelStreamWriter) WriteBlock(block []float64) error {
 		buf = make([]float64, len(block))
 	}
 	copy(buf, block)
-	s.jobs <- pswJob{seq: s.submitted, data: buf}
+	s.jobs <- swJob{seq: s.submitted, data: buf}
 	s.submitted++
 	split.End()
 	return nil
 }
 
 // Blocks returns the number of blocks fully written to the underlying
-// writer so far; after a successful Close it equals the number
-// submitted.
-func (s *ParallelStreamWriter) Blocks() uint64 { return s.written.Load() }
+// writer so far. It can lag behind the WriteBlock calls until Close;
+// after a successful Close it equals the number submitted.
+func (s *StreamWriter) Blocks() uint64 { return s.written.Load() }
 
 // Close drains the pipeline, flushes buffered output and returns the
 // first error in block order, if any. The underlying writer is not
 // closed. Close is idempotent.
-func (s *ParallelStreamWriter) Close() error {
+func (s *StreamWriter) Close() error {
 	if s.closed {
 		return s.err()
 	}
@@ -404,11 +333,6 @@ func (s *ParallelStreamWriter) Close() error {
 		s.wg.Wait()
 		close(s.results)
 		<-s.seqDone
-		// Merge per-worker stats in worker order for a deterministic
-		// (order-independent anyway — Stats is pure counters) result.
-		for _, ws := range s.workerStats {
-			s.stats.Merge(ws)
-		}
 	}
 	if err := s.err(); err != nil {
 		return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,74 +67,67 @@ func TestCompressWorkersStats(t *testing.T) {
 	}
 }
 
-func TestParallelStreamWriterMatchesSerial(t *testing.T) {
-	cfg := Defaults(5, 8, 1e-8)
-	data := eriLikeBlocks(cfg, 41, 3)
-	bs := cfg.BlockSize()
+// streamed returns comp, a Compress output, with the header's block
+// count replaced by the streaming sentinel: the bytes a StreamWriter
+// must produce for the same blocks. TestGoldenStreams pins Compress, so
+// this oracle is pinned too.
+func streamed(comp []byte) []byte {
+	out := append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint64(out[headerSize-8:headerSize], streamingCount)
+	return out
+}
 
-	var serial bytes.Buffer
-	sw, err := NewStreamWriter(&serial, cfg)
+// writeStream feeds data block by block through a StreamWriter, reusing
+// one block buffer (the writer must copy), and returns the stream and
+// the writer's final block count.
+func writeStream(t *testing.T, cfg Config, data []float64) ([]byte, uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	sw, err := NewStreamWriter(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bs := cfg.BlockSize()
+	block := make([]float64, bs)
 	for b := 0; b*bs < len(data); b++ {
-		if err := sw.WriteBlock(data[b*bs : (b+1)*bs]); err != nil {
-			t.Fatal(err)
+		copy(block, data[b*bs:(b+1)*bs])
+		if err := sw.WriteBlock(block); err != nil {
+			t.Fatalf("workers=%d block %d: %v", cfg.Workers, b, err)
 		}
 	}
 	if err := sw.Close(); err != nil {
+		t.Fatalf("workers=%d: %v", cfg.Workers, err)
+	}
+	return buf.Bytes(), sw.Blocks()
+}
+
+func TestStreamWriterMatchesCompress(t *testing.T) {
+	cfg := Defaults(5, 8, 1e-8)
+	data := eriLikeBlocks(cfg, 41, 3)
+	comp, err := Compress(data, cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-
+	want := streamed(comp)
 	for _, workers := range []int{1, 2, 4, 7} {
-		var par bytes.Buffer
-		pw, err := NewParallelStreamWriter(&par, cfg, workers)
-		if err != nil {
-			t.Fatal(err)
+		cfg.Workers = workers
+		got, blocks := writeStream(t, cfg, data)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: stream differs from Compress's (%d vs %d bytes)",
+				workers, len(got), len(want))
 		}
-		st := NewStats()
-		pw.CollectStats(st)
-		block := make([]float64, bs)
-		for b := 0; b*bs < len(data); b++ {
-			copy(block, data[b*bs:(b+1)*bs]) // writer must copy: reuse the buffer
-			if err := pw.WriteBlock(block); err != nil {
-				t.Fatalf("workers=%d block %d: %v", workers, b, err)
-			}
-		}
-		if err := pw.Close(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
-			t.Fatalf("workers=%d: parallel stream differs from serial (%d vs %d bytes)",
-				workers, serial.Len(), par.Len())
-		}
-		if got, want := pw.Blocks(), uint64(len(data)/bs); got != want {
-			t.Fatalf("workers=%d: Blocks() = %d, want %d", workers, got, want)
-		}
-		if st.Blocks != uint64(len(data)/bs) {
-			t.Fatalf("workers=%d: stats saw %d blocks, want %d", workers, st.Blocks, len(data)/bs)
+		if blocks != 41 {
+			t.Fatalf("workers=%d: Blocks() = %d, want 41", workers, blocks)
 		}
 	}
 }
 
-func TestParallelStreamWriterRoundTrip(t *testing.T) {
+func TestStreamWriterRoundTrip(t *testing.T) {
 	cfg := Defaults(4, 6, 1e-11)
+	cfg.Workers = 3
 	data := eriLikeBlocks(cfg, 19, 4)
-	bs := cfg.BlockSize()
-	var buf bytes.Buffer
-	pw, err := NewParallelStreamWriter(&buf, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b*bs < len(data); b++ {
-		if err := pw.WriteBlock(data[b*bs : (b+1)*bs]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decompress(buf.Bytes(), 0)
+	stream, _ := writeStream(t, cfg, data)
+	out, err := Decompress(stream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +141,11 @@ func TestParallelStreamWriterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParallelStreamWriterEmpty(t *testing.T) {
+func TestStreamWriterEmpty(t *testing.T) {
 	cfg := Defaults(3, 3, 1e-6)
+	cfg.Workers = 4
 	var buf bytes.Buffer
-	pw, err := NewParallelStreamWriter(&buf, cfg, 4)
+	pw, err := NewStreamWriter(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +167,11 @@ func TestParallelStreamWriterEmpty(t *testing.T) {
 	}
 }
 
-func TestParallelStreamWriterBadBlockLength(t *testing.T) {
+func TestStreamWriterBadBlockLength(t *testing.T) {
 	cfg := Defaults(3, 3, 1e-6)
+	cfg.Workers = 2
 	var buf bytes.Buffer
-	pw, err := NewParallelStreamWriter(&buf, cfg, 2)
+	pw, err := NewStreamWriter(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +183,14 @@ func TestParallelStreamWriterBadBlockLength(t *testing.T) {
 	}
 }
 
-// TestParallelStreamWriterEncodeError drives the pipeline into an
-// encoder failure (data range too wide for the error bound) and checks
-// the error surfaces on Close without deadlock or panic.
-func TestParallelStreamWriterEncodeError(t *testing.T) {
+// TestStreamWriterEncodeError drives the pipeline into an encoder
+// failure (data range too wide for the error bound) and checks the
+// error surfaces on Close without deadlock or panic.
+func TestStreamWriterEncodeError(t *testing.T) {
 	cfg := Defaults(2, 4, 1e-300)
+	cfg.Workers = 3
 	var buf bytes.Buffer
-	pw, err := NewParallelStreamWriter(&buf, cfg, 3)
+	pw, err := NewStreamWriter(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,61 +4,84 @@ import (
 	"bytes"
 	"context"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
 
-// TestStageLabelsPropagate proves the worker pool runs under the
-// request's pprof label set plus its own stage label: goroutine labels
-// are what the CPU profiler samples, so if the label map inside a
-// worker carries tenant+stage, profiles attribute correctly.
+// TestStageLabelsPropagate proves the stream writer's goroutines run
+// under the request's pprof label set plus their own stage label:
+// goroutine labels are what the CPU profiler samples, so a worker that
+// carries tenant+route+stage attributes its encode time correctly. It
+// reads the labels of the live goroutines from the goroutine profile
+// while the workers sit idle between blocks.
 func TestStageLabelsPropagate(t *testing.T) {
+	const workers = 2
 	cfg := Defaults(4, 16, 1e-10)
-	cfg.Workers = 2
-
-	seen := make(chan map[string]string, 8)
-	probe := func(ctx context.Context) {
-		m := make(map[string]string)
-		pprof.ForLabels(ctx, func(k, v string) bool {
-			m[k] = v
-			return true
-		})
-		seen <- m
+	cfg.Workers = workers
+	block := make([]float64, cfg.BlockSize())
+	for i := range block {
+		block[i] = float64(i%7) * 1e-8
 	}
+	const (
+		encode    = `{"route":"upload", "stage":"encode", "tenant":"labelprobe"}`
+		sequencer = `{"route":"upload", "stage":"sequencer", "tenant":"labelprobe"}`
+	)
 
-	pprof.Do(context.Background(), pprof.Labels("tenant", "acme", "route", "upload"), func(ctx context.Context) {
+	pprof.Do(context.Background(), pprof.Labels("tenant", "labelprobe", "route", "upload"), func(ctx context.Context) {
 		cfg.ProfileCtx = ctx
-		// Observer.Do must add stage without losing the request labels.
-		cfg.Do(profStageEncode, func() {
-			// Inside the labeled region the goroutine's label set is the
-			// context pprof.Do derived; re-derive it via Do to inspect.
-			pprof.Do(ctx, pprof.Labels("stage", profStageEncode), probe)
-		})
-
 		var buf bytes.Buffer
-		w, err := NewParallelStreamWriter(&buf, cfg, 2)
+		w, err := NewStreamWriter(&buf, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		block := make([]float64, cfg.BlockSize())
-		for i := range block {
-			block[i] = float64(i%7) * 1e-8
 		}
 		for i := 0; i < 4; i++ {
 			if err := w.WriteBlock(block); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// Poll until every block is written and the pool is idle.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got := labelledGoroutines(t)
+			if got[encode] == workers && got[sequencer] == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines per label set = %v; want %d with %s and 1 with %s",
+					got, workers, encode, sequencer)
+			}
+			time.Sleep(time.Millisecond)
+		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
 
-	m := <-seen
-	if m["tenant"] != "acme" || m["route"] != "upload" || m["stage"] != profStageEncode {
-		t.Fatalf("labels = %v, want tenant=acme route=upload stage=encode", m)
+// labelledGoroutines counts the live goroutines per pprof label set,
+// read from the goroutine profile's text form, where each distinct
+// stack and label set is one "N @ pc..." line followed by a
+// "# labels: {...}" line.
+func labelledGoroutines(t *testing.T) map[string]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
 	}
+	counts := make(map[string]int)
+	n := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[1] == "@" {
+			n, _ = strconv.Atoi(f[0])
+		} else if labels, ok := strings.CutPrefix(line, "# labels: "); ok {
+			counts[labels] += n
+		}
+	}
+	return counts
 }
 
 // TestWithStageLabelNilCtx pins the disabled path of Observer.Do: no
@@ -89,9 +112,10 @@ func TestParallelOutputUnchangedWithProfileCtx(t *testing.T) {
 	}
 	run := func(ctx context.Context) []byte {
 		c := cfg
+		c.Workers = 3
 		c.ProfileCtx = ctx
 		var buf bytes.Buffer
-		w, err := NewParallelStreamWriter(&buf, c, 3)
+		w, err := NewStreamWriter(&buf, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/encoding"
+	"repro/internal/par"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
 )
@@ -184,75 +183,32 @@ func DecompressObserved(comp []byte, workers int, obs telemetry.Observer) ([]flo
 	}
 	nblocks = uint64(len(spans))
 	out := make([]float64, int(nblocks)*bs)
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > int(nblocks) {
-		workers = int(nblocks)
-	}
-	logDone := func() {
-		if obs.Logger != nil {
-			obs.Info("stream decompressed",
-				slog.Uint64("blocks", nblocks),
-				slog.String("class", quartetClass(cfg.NumSB, cfg.SBSize)),
-				slog.Float64("error_bound", cfg.ErrorBound),
-				slog.Int("bytes_in", len(comp)),
-				slog.Int("bytes_out", len(out)*8),
-				slog.Int("workers", workers))
-		}
-	}
-	if workers <= 1 {
+	workers = par.Workers(workers, len(spans))
+	err = par.Each(len(spans), workers, func(next func() (int, bool)) error {
 		dec := getDecoder(cfg)
 		defer putDecoder(dec)
 		r := bitio.NewReader(nil)
-		for b := range spans {
+		for b, ok := next(); ok; b, ok = next() {
 			r.Reset(comp[spans[b].lo:spans[b].hi])
 			if err := dec.DecodeBlock(r, out[b*bs:(b+1)*bs]); err != nil {
-				return nil, fmt.Errorf("core: block %d: %w", b, err)
+				return fmt.Errorf("core: block %d: %w", b, err)
 			}
 			col.RecordDecodedBlock(spans[b].hi-spans[b].lo, bs*8)
 		}
-		logDone()
-		return out, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int, len(spans))
-	for b := range spans {
-		next <- b
+	if obs.Logger != nil {
+		obs.Info("stream decompressed",
+			slog.Uint64("blocks", nblocks),
+			slog.String("class", quartetClass(cfg.NumSB, cfg.SBSize)),
+			slog.Float64("error_bound", cfg.ErrorBound),
+			slog.Int("bytes_in", len(comp)),
+			slog.Int("bytes_out", len(out)*8),
+			slog.Int("workers", workers))
 	}
-	close(next)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dec := getDecoder(cfg)
-			defer putDecoder(dec)
-			r := bitio.NewReader(nil)
-			for b := range next {
-				r.Reset(comp[spans[b].lo:spans[b].hi])
-				if err := dec.DecodeBlock(r, out[b*bs:(b+1)*bs]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: block %d: %w", b, err)
-					}
-					mu.Unlock()
-					return
-				}
-				col.RecordDecodedBlock(spans[b].hi-spans[b].lo, bs*8)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	logDone()
 	return out, nil
 }
 

@@ -9,87 +9,16 @@ import (
 	"repro/internal/bitio"
 )
 
-// Streaming interface: compress or decompress block-by-block against an
-// io.Writer/io.Reader without materializing the whole dataset. A
-// streamed file uses the same format as Compress with the block count
-// set to the streamingCount sentinel; the block sequence then runs to
-// EOF. Decompress and BlockReader accept both forms.
+// Streaming interface: compress (StreamWriter, parallel.go) or
+// decompress block-by-block against an io.Writer/io.Reader without
+// materializing the whole dataset. A streamed file uses the same format
+// as Compress with the block count set to the streamingCount sentinel;
+// the block sequence then runs to EOF. Decompress and BlockReader
+// accept both forms.
 
 // streamingCount marks a header whose block count was unknown at write
 // time.
 const streamingCount = ^uint64(0)
-
-// StreamWriter compresses blocks incrementally to an underlying writer.
-// Not safe for concurrent use.
-type StreamWriter struct {
-	w      *bufio.Writer
-	enc    *BlockEncoder
-	bw     *bitio.Writer
-	blocks uint64
-	closed bool
-	stats  *Stats
-}
-
-// NewStreamWriter writes a stream header to w and returns a writer that
-// appends one compressed block per WriteBlock call. The caller must
-// Close it to flush buffered output.
-func NewStreamWriter(w io.Writer, cfg Config) (*StreamWriter, error) {
-	enc, err := NewBlockEncoder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriter(w)
-	hdr := appendHeader(make([]byte, 0, headerSize), cfg, streamingCount)
-	if _, err := bw.Write(hdr); err != nil {
-		return nil, err
-	}
-	return &StreamWriter{
-		w:   bw,
-		enc: enc,
-		bw:  bitio.NewWriter(cfg.BlockSize()),
-	}, nil
-}
-
-// CollectStats attaches a statistics sink.
-func (s *StreamWriter) CollectStats(st *Stats) {
-	s.stats = st
-	s.enc.CollectStats(st)
-}
-
-// WriteBlock compresses and appends one block of Config().BlockSize()
-// values.
-func (s *StreamWriter) WriteBlock(block []float64) error {
-	if s.closed {
-		return fmt.Errorf("core: write on closed StreamWriter")
-	}
-	s.bw.Reset()
-	if err := s.enc.EncodeBlock(s.bw, block); err != nil {
-		return err
-	}
-	payload := s.bw.Bytes()
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := s.w.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	if _, err := s.w.Write(payload); err != nil {
-		return err
-	}
-	s.blocks++
-	return nil
-}
-
-// Blocks returns the number of blocks written so far.
-func (s *StreamWriter) Blocks() uint64 { return s.blocks }
-
-// Close flushes buffered output. The underlying writer is not closed.
-func (s *StreamWriter) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.w.Flush()
-}
 
 // StreamReader decompresses blocks incrementally from an underlying
 // reader. Not safe for concurrent use.

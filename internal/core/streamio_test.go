@@ -24,21 +24,16 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := NewStats()
-	sw.CollectStats(stats)
 	for _, blk := range blocks {
 		if err := sw.WriteBlock(blk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sw.Blocks() != nblocks {
-		t.Fatalf("Blocks() = %d", sw.Blocks())
-	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Blocks != nblocks {
-		t.Fatalf("stats recorded %d blocks", stats.Blocks)
+	if sw.Blocks() != nblocks {
+		t.Fatalf("Blocks() = %d", sw.Blocks())
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal("second Close should be a no-op")

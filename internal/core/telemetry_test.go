@@ -134,3 +134,40 @@ func TestTelemetryTraceCompleteness(t *testing.T) {
 		t.Fatalf("trace payload bytes %d != counter %d", payload, snap.BytesOutPayload)
 	}
 }
+
+// TestBytesOutTotalMatchesStreamSize holds the snapshot to its promise
+// that BytesOutTotal (payload + framing) is exactly the size of the
+// produced stream, for the one-shot compressor and the stream writer at
+// every worker count.
+func TestBytesOutTotalMatchesStreamSize(t *testing.T) {
+	cfg := Defaults(6, 6, 1e-10)
+	data := eriLikeBlocks(cfg, 20, 5)
+	for _, workers := range []int{1, 2, 4, 8} {
+		cfg.Workers = workers
+		for _, tc := range []struct {
+			name     string
+			compress func(Config) []byte
+		}{
+			{"Compress", func(c Config) []byte {
+				comp, err := Compress(data, c, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return comp
+			}},
+			{"StreamWriter", func(c Config) []byte {
+				stream, _ := writeStream(t, c, data)
+				return stream
+			}},
+		} {
+			col := telemetry.New(-1)
+			c := cfg
+			c.Collector = col
+			stream := tc.compress(c)
+			if snap := col.Snapshot(); snap.BytesOutTotal != uint64(len(stream)) {
+				t.Errorf("%s workers=%d: bytes_out_total %d (payload %d + framing %d), stream is %d bytes",
+					tc.name, workers, snap.BytesOutTotal, snap.BytesOutPayload, snap.BytesOutFraming, len(stream))
+			}
+		}
+	}
+}

@@ -3,11 +3,11 @@ package eri
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/basis"
+	"repro/internal/par"
 )
 
 // This file turns the quartet engine into a GAMESS-style dataset
@@ -171,47 +171,30 @@ func SchwarzBounds(prepared []*PreparedShell, maxL int) map[[2]int]float64 {
 		}
 	}
 	vals := make([]float64, len(pairs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(pairs))
-	for k := range pairs {
-		next <- k
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			en := NewEngine(maxL)
-			var buf []float64
-			for k := range next {
-				A, B := prepared[pairs[k].i], prepared[pairs[k].j]
-				nAB := len(A.Comps) * len(B.Comps)
-				if cap(buf) < nAB*nAB {
-					buf = make([]float64, nAB*nAB)
-				}
-				block := buf[:nAB*nAB]
-				en.Quartet(A, B, A, B, block)
-				maxDiag := 0.0
-				for d := 0; d < nAB; d++ {
-					if v := block[d*nAB+d]; v > maxDiag {
-						maxDiag = v
-					}
-				}
-				if maxDiag < 0 {
-					maxDiag = 0
-				}
-				vals[k] = math.Sqrt(maxDiag)
+	par.Each(len(pairs), 0, func(next func() (int, bool)) error {
+		en := NewEngine(maxL)
+		var buf []float64
+		for k, ok := next(); ok; k, ok = next() {
+			A, B := prepared[pairs[k].i], prepared[pairs[k].j]
+			nAB := len(A.Comps) * len(B.Comps)
+			if cap(buf) < nAB*nAB {
+				buf = make([]float64, nAB*nAB)
 			}
-		}()
-	}
-	wg.Wait()
+			block := buf[:nAB*nAB]
+			en.Quartet(A, B, A, B, block)
+			maxDiag := 0.0
+			for d := 0; d < nAB; d++ {
+				if v := block[d*nAB+d]; v > maxDiag {
+					maxDiag = v
+				}
+			}
+			if maxDiag < 0 {
+				maxDiag = 0
+			}
+			vals[k] = math.Sqrt(maxDiag)
+		}
+		return nil
+	})
 	out := make(map[[2]int]float64, len(pairs))
 	for k, p := range pairs {
 		out[[2]int{p.i, p.j}] = vals[k]
@@ -280,34 +263,15 @@ func ComputeQuartets(name string, prepared []*PreparedShell, quartets []Quartet,
 		SBSize: nc * nc,
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(quartets) {
-		workers = len(quartets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(quartets))
-	for b := range quartets {
-		next <- b
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			en := NewEngine(l)
-			for b := range next {
-				q := quartets[b]
-				en.Quartet(prepared[q[0]], prepared[q[1]], prepared[q[2]], prepared[q[3]],
-					ds.Data[b*blockLen:(b+1)*blockLen])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(quartets), workers, func(next func() (int, bool)) error {
+		en := NewEngine(l)
+		for b, ok := next(); ok; b, ok = next() {
+			q := quartets[b]
+			en.Quartet(prepared[q[0]], prepared[q[1]], prepared[q[2]], prepared[q[3]],
+				ds.Data[b*blockLen:(b+1)*blockLen])
+		}
+		return nil
+	})
 	return ds, nil
 }
 
@@ -341,41 +305,22 @@ func ComputeMixedBlocks(prepared []*PreparedShell, quartets []Quartet, workers i
 		}
 	}
 	out := make([]MixedBlock, len(quartets))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(quartets) {
-		workers = len(quartets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(quartets))
-	for b := range quartets {
-		next <- b
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			en := NewEngine(maxL)
-			for b := range next {
-				q := quartets[b]
-				A, B, C, D := prepared[q[0]], prepared[q[1]], prepared[q[2]], prepared[q[3]]
-				blk := MixedBlock{
-					Q:  q,
-					Na: len(A.Comps), Nb: len(B.Comps),
-					Nc: len(C.Comps), Nd: len(D.Comps),
-				}
-				blk.Data = make([]float64, blk.NumSB()*blk.SBSize())
-				en.Quartet(A, B, C, D, blk.Data)
-				out[b] = blk
+	par.Each(len(quartets), workers, func(next func() (int, bool)) error {
+		en := NewEngine(maxL)
+		for b, ok := next(); ok; b, ok = next() {
+			q := quartets[b]
+			A, B, C, D := prepared[q[0]], prepared[q[1]], prepared[q[2]], prepared[q[3]]
+			blk := MixedBlock{
+				Q:  q,
+				Na: len(A.Comps), Nb: len(B.Comps),
+				Nc: len(C.Comps), Nd: len(D.Comps),
 			}
-		}()
-	}
-	wg.Wait()
+			blk.Data = make([]float64, blk.NumSB()*blk.SBSize())
+			en.Quartet(A, B, C, D, blk.Data)
+			out[b] = blk
+		}
+		return nil
+	})
 	return out, nil
 }
 
@@ -397,38 +342,25 @@ func AllERIs(bs *basis.BasisSet) []float64 {
 	}
 	quartets := EnumerateQuartets(bs.NShells())
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(quartets) {
-		workers = len(quartets)
-	}
-	var wg sync.WaitGroup
-	next := make(chan Quartet, len(quartets))
-	for _, q := range quartets {
-		next <- q
-	}
-	close(next)
 	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			en := NewEngine(maxL)
-			var buf []float64
-			for q := range next {
-				A, B, C, D := prepared[q[0]], prepared[q[1]], prepared[q[2]], prepared[q[3]]
-				size := BlockSize(A, B, C, D)
-				if cap(buf) < size {
-					buf = make([]float64, size)
-				}
-				block := buf[:size]
-				en.Quartet(A, B, C, D, block)
-				mu.Lock()
-				scatterQuartet(out, n, bs, q, A, B, C, D, block)
-				mu.Unlock()
+	par.Each(len(quartets), 0, func(next func() (int, bool)) error {
+		en := NewEngine(maxL)
+		var buf []float64
+		for k, ok := next(); ok; k, ok = next() {
+			q := quartets[k]
+			A, B, C, D := prepared[q[0]], prepared[q[1]], prepared[q[2]], prepared[q[3]]
+			size := BlockSize(A, B, C, D)
+			if cap(buf) < size {
+				buf = make([]float64, size)
 			}
-		}()
-	}
-	wg.Wait()
+			block := buf[:size]
+			en.Quartet(A, B, C, D, block)
+			mu.Lock()
+			scatterQuartet(out, n, bs, q, A, B, C, D, block)
+			mu.Unlock()
+		}
+		return nil
+	})
 	return out
 }
 

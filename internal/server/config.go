@@ -190,6 +190,9 @@ func (c Config) Validate() error {
 	if c.DefaultErrorBound <= 0 {
 		return fmt.Errorf("server: config: default_error_bound must be positive")
 	}
+	if c.Workers < 0 {
+		return fmt.Errorf("server: config: negative workers")
+	}
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("server: config: at least one tenant is required")
 	}

@@ -47,6 +47,7 @@ func TestLoadConfigRejects(t *testing.T) {
 		{"negative quota", `{"store_dir":"/x","tenants":{"a":{"quota_bytes":-1}}}`, "negative quota_bytes"},
 		{"no store dir", `{"tenants":{"a":{}}}`, "store_dir is empty"},
 		{"bad geometry", `{"store_dir":"/x","num_sb":-4,"tenants":{"a":{}}}`, "block geometry"},
+		{"negative workers", `{"store_dir":"/x","workers":-1,"tenants":{"a":{}}}`, "negative workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

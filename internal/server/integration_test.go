@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,6 +37,7 @@ var integrationWorkerCounts = []int{1, 4, 7}
 type goldenServeCase struct {
 	name string
 	cfg  core.Config
+	comp []byte // the committed Compress stream
 	raw  []byte // upload body: raw little-endian float64 blocks
 	dec  []byte // serial Decompress output, little-endian
 }
@@ -72,7 +74,7 @@ func loadGoldenServeCases(t *testing.T) []goldenServeCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, goldenServeCase{name: name, cfg: cfg, raw: raw, dec: dec})
+		cases = append(cases, goldenServeCase{name: name, cfg: cfg, comp: comp, raw: raw, dec: dec})
 	}
 	if len(cases) < 3 {
 		t.Fatalf("only %d default-codec golden fixtures; battery expects at least 3", len(cases))
@@ -342,10 +344,10 @@ func TestIntegrationGracefulShutdownDrains(t *testing.T) {
 }
 
 // The segment the service stores for an upload must be byte-identical
-// to the stream a serial library StreamWriter produces over the same
-// blocks: the encoder's output observed through the full HTTP ingest
-// stack (parallel workers, sequencer, store), under the race detector
-// in CI's serve-test job.
+// to the committed golden stream of the same blocks, with the header's
+// block count set to the streaming sentinel: the encoder's output
+// observed through the full HTTP ingest stack (parallel workers,
+// sequencer, store), under the race detector in CI's serve-test job.
 func TestIntegrationSegmentMatchesSerialStream(t *testing.T) {
 	for _, gc := range loadGoldenServeCases(t) {
 		gc := gc
@@ -363,32 +365,14 @@ func TestIntegrationSegmentMatchesSerialStream(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Oracle: the same blocks through a serial StreamWriter.
-			data := make([]float64, len(gc.raw)/8)
-			for i := range data {
-				var bits uint64
-				for b := 0; b < 8; b++ {
-					bits |= uint64(gc.raw[i*8+b]) << (8 * b)
-				}
-				data[i] = math.Float64frombits(bits)
-			}
-			var ref bytes.Buffer
-			sw, err := core.NewStreamWriter(&ref, gc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs := gc.cfg.BlockSize()
-			for b := 0; b*bs < len(data); b++ {
-				if err := sw.WriteBlock(data[b*bs : (b+1)*bs]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(seg, ref.Bytes()) {
-				t.Fatalf("stored segment differs from the serial library stream (%d vs %d bytes)",
-					len(seg), ref.Len())
+			// Oracle: the golden stream, whose header an incremental
+			// writer cannot give a block count; it records the all-ones
+			// sentinel in the header's last 8 bytes (offset 24) instead.
+			want := append([]byte(nil), gc.comp...)
+			binary.LittleEndian.PutUint64(want[24:32], math.MaxUint64)
+			if !bytes.Equal(seg, want) {
+				t.Fatalf("stored segment differs from the golden stream (%d vs %d bytes)",
+					len(seg), len(want))
 			}
 		})
 	}

@@ -22,9 +22,10 @@
 // Errors are JSON: {"error":{"code":"...","message":"..."}} with codes
 // bad_request, unknown_tenant, not_found, exists, quota_exceeded,
 // corrupt, internal. Uploads are compressed with the tenant's
-// configured error bound by a ParallelStreamWriter, whose sequencer
-// makes the stored bytes identical to a serial compression of the same
-// data — the property the integration battery checks end to end.
+// configured error bound by a core.StreamWriter, whose sequencer makes
+// the stored bytes identical to a one-shot compression of the same data
+// at any worker count — the property the integration battery checks end
+// to end.
 package server
 
 import (
@@ -404,6 +405,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, tenant str
 		return
 	}
 	cfg := core.Defaults(s.cfg.NumSB, s.cfg.SBSize, s.cfg.errorBound(tenant))
+	cfg.Workers = s.cfg.Workers
 	cfg.Collector = s.collectors[tenant]
 	// The request context carries the tenant/route pprof labels set by
 	// instrument; handing it to the pipeline lets the compress workers
@@ -420,7 +422,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, tenant str
 	sw.SetTrace(root) // store.commit/fsync spans hang off the request root
 	csp := root.StartChild("compress")
 	cfg.Trace = csp // per-stage pipeline spans hang off compress
-	psw, err := core.NewParallelStreamWriter(sw, cfg, s.cfg.Workers)
+	psw, err := core.NewStreamWriter(sw, cfg)
 	if err != nil {
 		csp.End()
 		sw.Abort()

@@ -40,9 +40,8 @@ type Stage uint8
 // StageDecode is recorded by the decompression paths.
 const (
 	// StageBlockSplit covers carving the input into block jobs: the
-	// copy+submit of ParallelStreamWriter.WriteBlock, the job fan-out of
-	// the one-shot compressor, and geometry grouping in the container
-	// writer.
+	// copy+submit of the stream writer's WriteBlock and geometry
+	// grouping in the container writer.
 	StageBlockSplit Stage = iota
 	// StagePatternFit is the pattern-scaling analysis (Sec. IV-A).
 	StagePatternFit

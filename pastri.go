@@ -127,15 +127,6 @@ func Compress(data []float64, o Options) ([]byte, error) {
 	return core.Compress(data, o.internal(), nil)
 }
 
-// CompressWorkers is Compress with an explicit worker count that
-// overrides o.Workers (0 means GOMAXPROCS). Blocks are compressed
-// concurrently and assembled in block order, so the output is
-// byte-identical to the serial path for every worker count — the
-// stream carries no trace of how it was parallelized.
-func CompressWorkers(data []float64, o Options, workers int) ([]byte, error) {
-	return core.CompressWorkers(data, o.internal(), workers, nil)
-}
-
 // Decompress reconstructs the original values from a compressed stream,
 // exact to within the stream's recorded error bound. It uses all
 // available cores; use DecompressWorkers to bound parallelism.
@@ -326,14 +317,20 @@ func (br *BlockReader) CompressedBlockBytes(b int) int {
 
 // StreamWriter compresses blocks incrementally to an io.Writer —
 // suitable for datasets too large to hold raw in memory (the regime the
-// paper targets). Streams it produces are readable by Decompress,
-// NewBlockReader and NewStreamReader alike.
+// paper targets). WriteBlock hands each block to a pool of
+// Options.Workers goroutines and a sequencer writes the compressed
+// payloads in submission order, so the stream is byte-identical at
+// every worker count. Streams it produces are readable by Decompress,
+// NewBlockReader and NewStreamReader alike. WriteBlock and Close must
+// be called from a single goroutine.
 type StreamWriter struct {
 	w *core.StreamWriter
 }
 
 // NewStreamWriter writes a stream header to w and returns a writer that
-// appends one compressed block per WriteBlock call. Close flushes it.
+// appends one compressed block per WriteBlock call, encoding over
+// o.Workers goroutines (0 means GOMAXPROCS). Close drains and flushes
+// it.
 func NewStreamWriter(w io.Writer, o Options) (*StreamWriter, error) {
 	sw, err := core.NewStreamWriter(w, o.internal())
 	if err != nil {
@@ -342,49 +339,20 @@ func NewStreamWriter(w io.Writer, o Options) (*StreamWriter, error) {
 	return &StreamWriter{w: sw}, nil
 }
 
-// WriteBlock compresses and appends one block of o.BlockSize() values.
+// WriteBlock submits one block of o.BlockSize() values for compression.
+// The block is copied; the caller may reuse it immediately. Encoding
+// is asynchronous, so an encoding error may surface on a later
+// WriteBlock or on Close.
 func (s *StreamWriter) WriteBlock(block []float64) error { return s.w.WriteBlock(block) }
 
-// Blocks returns the number of blocks written so far.
-func (s *StreamWriter) Blocks() uint64 { return s.w.Blocks() }
-
-// Close flushes buffered output; the underlying writer stays open.
-func (s *StreamWriter) Close() error { return s.w.Close() }
-
-// ParallelStreamWriter is StreamWriter with a bounded worker pool:
-// WriteBlock hands each block to the pool and a sequencer writes the
-// compressed payloads in submission order, so the stream it produces is
-// byte-identical to StreamWriter's for the same blocks. Encoding errors
-// may surface on a later WriteBlock or on Close (the pipeline is
-// asynchronous); Close always reports the first error in block order.
-// WriteBlock and Close must be called from a single goroutine.
-type ParallelStreamWriter struct {
-	w *core.ParallelStreamWriter
-}
-
-// NewParallelStreamWriter writes a stream header to w and returns a
-// writer that compresses each WriteBlock over workers goroutines
-// (0 means GOMAXPROCS). Close drains the pipeline and flushes.
-func NewParallelStreamWriter(w io.Writer, o Options, workers int) (*ParallelStreamWriter, error) {
-	pw, err := core.NewParallelStreamWriter(w, o.internal(), workers)
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelStreamWriter{w: pw}, nil
-}
-
-// WriteBlock submits one block of o.BlockSize() values for compression.
-// The block is copied; the caller may reuse it immediately.
-func (s *ParallelStreamWriter) WriteBlock(block []float64) error { return s.w.WriteBlock(block) }
-
 // Blocks returns the number of blocks fully written to the underlying
-// writer so far; after a successful Close it equals the number
-// submitted.
-func (s *ParallelStreamWriter) Blocks() uint64 { return s.w.Blocks() }
+// writer so far; it can lag behind WriteBlock until Close, and after a
+// successful Close it equals the number submitted.
+func (s *StreamWriter) Blocks() uint64 { return s.w.Blocks() }
 
 // Close drains the worker pool, flushes buffered output and returns the
 // first error in block order, if any. The underlying writer stays open.
-func (s *ParallelStreamWriter) Close() error { return s.w.Close() }
+func (s *StreamWriter) Close() error { return s.w.Close() }
 
 // StreamReader decompresses blocks incrementally from an io.Reader.
 type StreamReader struct {
