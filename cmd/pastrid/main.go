@@ -11,14 +11,18 @@
 //	pastrid -printconfig              # show the built-in defaults
 //
 // The config file is JSON (see internal/server.Config); it names the
-// listen address, store root, cache size, block geometry, and the
-// closed set of tenants with their error bounds and quotas. SIGINT or
+// listen address, store root, cache size, block geometry, the closed
+// set of tenants with their error bounds and quotas, trace retention,
+// SLO objectives and the profile ring. Unknown fields fail the load,
+// including removed ones such as trace.sample_rate and eb_objective:
+// every request is traced, and the SLOs cover only what the daemon
+// measures (read and upload latency, 5xx errors). SIGINT or
 // SIGTERM triggers a graceful shutdown that drains in-flight uploads —
 // including compressions mid-stream — before closing the store.
 //
 // The report subcommand renders a plain-text ops report — SLO burn
-// verdicts, dominant pipeline stage, cache trend, anomaly timeline —
-// from a live daemon or a saved dump:
+// verdicts, dominant pipeline stage, cache trend — from a live daemon
+// or a saved dump:
 //
 //	pastrid report -addr http://127.0.0.1:8080
 //	pastrid report -file ops.json -out report.txt

@@ -11,56 +11,44 @@ import (
 // blockSpan locates one block's payload inside a compressed stream.
 type blockSpan struct{ lo, hi int }
 
-// scanSpansUnknown walks length prefixes until the buffer is exhausted
-// (streamed files record no block count).
-func scanSpansUnknown(comp []byte, off int) ([]blockSpan, error) {
+// scanSpans parses comp's header and walks the per-block uvarint
+// length prefixes that follow it. A counted stream yields exactly the
+// header's block count, ignoring any bytes after the last block; a
+// streamed one (the streamingCount sentinel) runs to the end of comp.
+func scanSpans(comp []byte) (Config, []blockSpan, error) {
+	cfg, nblocks, off, err := ParseHeader(comp)
+	if err != nil {
+		return Config{}, nil, err
+	}
 	var spans []blockSpan
-	for off < len(comp) {
+	counted := nblocks != streamingCount
+	if counted {
+		// Decoding allocates nblocks×BlockSize values in one slice, and
+		// every block needs at least its 1-byte length prefix: a corrupt
+		// header must not drive a giant allocation.
+		if nblocks > uint64(math.MaxInt64)/uint64(cfg.BlockSize()) {
+			return Config{}, nil, fmt.Errorf("core: implausible block count %d", nblocks)
+		}
+		if nblocks > uint64(len(comp)-off) {
+			return Config{}, nil, fmt.Errorf("core: header claims %d blocks but only %d bytes follow",
+				nblocks, len(comp)-off)
+		}
+		spans = make([]blockSpan, 0, nblocks)
+	}
+	for counted && uint64(len(spans)) < nblocks || !counted && off < len(comp) {
 		plen, n := binary.Uvarint(comp[off:])
 		if n <= 0 {
-			return nil, fmt.Errorf("core: corrupt block length at offset %d", off)
+			return Config{}, nil, fmt.Errorf("core: corrupt block length at offset %d", off)
 		}
 		off += n
 		if uint64(len(comp)-off) < plen {
-			return nil, fmt.Errorf("core: truncated block %d (want %d bytes, have %d)",
+			return Config{}, nil, fmt.Errorf("core: truncated block %d (want %d bytes, have %d)",
 				len(spans), plen, len(comp)-off)
 		}
 		spans = append(spans, blockSpan{off, off + int(plen)})
 		off += int(plen)
 	}
-	return spans, nil
-}
-
-// resolveSpans handles both exact-count and streamed (sentinel) files.
-func resolveSpans(comp []byte, nblocks uint64, off int) ([]blockSpan, error) {
-	if nblocks == streamingCount {
-		return scanSpansUnknown(comp, off)
-	}
-	return scanSpans(comp, nblocks, off)
-}
-
-// scanSpans walks the per-block uvarint length prefixes.
-func scanSpans(comp []byte, nblocks uint64, off int) ([]blockSpan, error) {
-	// Every block needs at least its 1-byte length prefix; a corrupt
-	// header must not drive a giant allocation.
-	if nblocks > uint64(len(comp)-off) {
-		return nil, fmt.Errorf("core: header claims %d blocks but only %d bytes follow",
-			nblocks, len(comp)-off)
-	}
-	spans := make([]blockSpan, nblocks)
-	for b := uint64(0); b < nblocks; b++ {
-		plen, n := binary.Uvarint(comp[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("core: corrupt block length at offset %d", off)
-		}
-		off += n
-		if uint64(len(comp)-off) < plen {
-			return nil, fmt.Errorf("core: truncated block %d (want %d bytes, have %d)", b, plen, len(comp)-off)
-		}
-		spans[b] = blockSpan{off, off + int(plen)}
-		off += int(plen)
-	}
-	return spans, nil
+	return cfg, spans, nil
 }
 
 // BlockReader provides random access to individual blocks of a
@@ -79,14 +67,7 @@ type BlockReader struct {
 // NewBlockReader indexes a compressed stream for random access. The
 // stream bytes are retained (not copied).
 func NewBlockReader(comp []byte) (*BlockReader, error) {
-	cfg, nblocks, off, err := ParseHeader(comp)
-	if err != nil {
-		return nil, err
-	}
-	if nblocks != streamingCount && nblocks > uint64(math.MaxInt64)/uint64(cfg.BlockSize()) {
-		return nil, fmt.Errorf("core: implausible block count %d", nblocks)
-	}
-	spans, err := resolveSpans(comp, nblocks, off)
+	cfg, spans, err := scanSpans(comp)
 	if err != nil {
 		return nil, err
 	}

@@ -123,12 +123,8 @@ func flagsByte(cfg Config) byte {
 // ParseHeader recovers the Config and block count from a compressed
 // stream, returning also the offset at which block payloads begin. For
 // a streamed file (NewStreamWriter) the count is the streaming
-// sentinel; ResolveBlockCount turns it into the real count.
+// sentinel; NewBlockReader's NumBlocks gives the real count.
 func ParseHeader(comp []byte) (Config, uint64, int, error) {
-	return parseHeaderBytes(comp)
-}
-
-func parseHeaderBytes(comp []byte) (Config, uint64, int, error) {
 	if len(comp) < headerSize {
 		return Config{}, 0, 0, fmt.Errorf("core: stream too short (%d bytes)", len(comp))
 	}
@@ -166,23 +162,15 @@ func Decompress(comp []byte, workers int) ([]float64, error) {
 // from the stream header, so the observer cannot ride in via Config
 // and is passed explicitly here.
 func DecompressObserved(comp []byte, workers int, obs telemetry.Observer) ([]float64, error) {
-	cfg, nblocks, off, err := ParseHeader(comp)
+	// Slice out per-block payloads first (sequential scan over varints).
+	cfg, spans, err := scanSpans(comp)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Observer = obs
 	col := obs.Collector
 	bs := cfg.BlockSize()
-	if nblocks != streamingCount && nblocks > uint64(math.MaxInt64)/uint64(bs) {
-		return nil, fmt.Errorf("core: implausible block count %d", nblocks)
-	}
-	// Slice out per-block payloads first (sequential scan over varints).
-	spans, err := resolveSpans(comp, nblocks, off)
-	if err != nil {
-		return nil, err
-	}
-	nblocks = uint64(len(spans))
-	out := make([]float64, int(nblocks)*bs)
+	out := make([]float64, len(spans)*bs)
 	workers = par.Workers(workers, len(spans))
 	err = par.Each(len(spans), workers, func(next func() (int, bool)) error {
 		dec := getDecoder(cfg)
@@ -202,7 +190,7 @@ func DecompressObserved(comp []byte, workers int, obs telemetry.Observer) ([]flo
 	}
 	if obs.Logger != nil {
 		obs.Info("stream decompressed",
-			slog.Uint64("blocks", nblocks),
+			slog.Int("blocks", len(spans)),
 			slog.String("class", quartetClass(cfg.NumSB, cfg.SBSize)),
 			slog.Float64("error_bound", cfg.ErrorBound),
 			slog.Int("bytes_in", len(comp)),

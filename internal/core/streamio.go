@@ -40,7 +40,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("core: reading stream header: %w", err)
 	}
-	cfg, nblocks, _, err := parseHeaderBytes(hdr)
+	cfg, nblocks, _, err := ParseHeader(hdr)
 	if err != nil {
 		return nil, err
 	}

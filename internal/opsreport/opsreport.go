@@ -2,9 +2,9 @@
 // /debug/slo burn-rate evaluation, the /debug/history metrics ring, and
 // the profile ring's attribution sidecars — into a plain-text operator
 // report: SLO verdicts per tenant, the pipeline stage dominating the
-// burn window, the cache hit trend, and a timeline of flight-recorder
-// anomalies. The same renderer runs against a live daemon (pastrid
-// report -addr) or a committed dump file (pastrid report -file), so an
+// burn window, the cache hit trend, and the profile-ring entries a dump
+// lists. The same renderer runs against a live daemon (pastrid report
+// -addr) or a committed dump file (pastrid report -file), so an
 // incident review works from artifacts alone.
 package opsreport
 
@@ -92,7 +92,6 @@ func Render(w io.Writer, d Dump) error {
 	renderSLO(&b, d.SLO)
 	renderStages(&b, d.History)
 	renderCache(&b, d.History)
-	renderAnomalies(&b, d.History)
 	renderProfiles(&b, d.Profiles)
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -237,62 +236,6 @@ func renderCache(b *strings.Builder, h tsdb.History) {
 		fmt.Fprintf(b, "window: %.0f lookups, hit rate %.3f; lifetime trend %.3f → %.3f; %g evictions\n",
 			dHits+dMisses, dHits/(dHits+dMisses), first, last,
 			tsdb.Delta(newest, oldest, tsdb.KeyCacheEvictionsTotal))
-	}
-}
-
-// anomalyEvent is one detected flight-recorder anomaly increase.
-type anomalyEvent struct {
-	unixNano int64
-	tenant   string
-	delta    float64
-	total    float64
-}
-
-// anomalyTimeline scans consecutive samples for per-tenant increases of
-// the flight anomaly counter.
-func anomalyTimeline(h tsdb.History) []anomalyEvent {
-	var events []anomalyEvent
-	for i := 1; i < len(h.Samples); i++ {
-		prev, cur := h.Samples[i-1], h.Samples[i]
-		tenants := make(map[string]bool)
-		for k := range cur.Values {
-			if t, base, ok := tsdb.SplitTenant(k); ok && base == tsdb.KeyFlightAnomaliesTotal {
-				tenants[t] = true
-			}
-		}
-		names := make([]string, 0, len(tenants))
-		for t := range tenants {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		for _, t := range names {
-			k := tsdb.ForTenant(t, tsdb.KeyFlightAnomaliesTotal)
-			if d := tsdb.Delta(cur, prev, k); d > 0 {
-				events = append(events, anomalyEvent{cur.UnixNano, t, d, cur.Get(k)})
-			}
-		}
-	}
-	return events
-}
-
-const maxTimelineLines = 20
-
-func renderAnomalies(b *strings.Builder, h tsdb.History) {
-	b.WriteString("\n== Flight anomalies ==\n")
-	events := anomalyTimeline(h)
-	if len(events) == 0 {
-		b.WriteString("none in window\n")
-		return
-	}
-	shown := events
-	if len(shown) > maxTimelineLines {
-		shown = shown[len(shown)-maxTimelineLines:]
-	}
-	for _, e := range shown {
-		fmt.Fprintf(b, "%s  tenant %s  +%g (total %g)\n", stamp(e.unixNano), e.tenant, e.delta, e.total)
-	}
-	if len(events) > len(shown) {
-		fmt.Fprintf(b, "(%d earlier events elided)\n", len(events)-len(shown))
 	}
 }
 

@@ -19,17 +19,16 @@ import (
 var update = flag.Bool("update", false, "rewrite the report golden")
 
 // fixtureDump builds a deterministic dump: a tenant burning its read
-// objective, decode dominating the stage window, a cache warming up,
-// and one anomaly burst.
+// objective, decode dominating the stage window, and a cache warming
+// up.
 func fixtureDump() Dump {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	mk := func(offset time.Duration, hits, misses, anomalies, decodeNS, encodeNS float64) tsdb.Sample {
+	mk := func(offset time.Duration, hits, misses, decodeNS, encodeNS float64) tsdb.Sample {
 		s := tsdb.NewSample(base.Add(offset))
 		s.Set(tsdb.KeyCacheHitsTotal, hits)
 		s.Set(tsdb.KeyCacheMissesTotal, misses)
 		s.Set(tsdb.KeyCacheEvictionsTotal, misses/2)
 		s.Set(tsdb.KeyCacheBytes, 4096)
-		s.Set(tsdb.ForTenant("tiny", tsdb.KeyFlightAnomaliesTotal), anomalies)
 		s.Set(tsdb.ForTenant("tiny", tsdb.StageNS("decode")), decodeNS)
 		s.Set(tsdb.ForTenant("tiny", tsdb.StageNS("encode")), encodeNS)
 		s.Set(tsdb.ForTenant("tiny", tsdb.KeyReadsTotal), hits+misses)
@@ -38,9 +37,9 @@ func fixtureDump() Dump {
 	hist := tsdb.History{
 		Depth: 16,
 		Samples: []tsdb.Sample{
-			mk(0, 10, 90, 0, 1e6, 4e6),
-			mk(15*time.Second, 200, 120, 2, 61e6, 9e6),
-			mk(30*time.Second, 700, 130, 2, 121e6, 14e6),
+			mk(0, 10, 90, 1e6, 4e6),
+			mk(15*time.Second, 200, 120, 61e6, 9e6),
+			mk(30*time.Second, 700, 130, 121e6, 14e6),
 		},
 	}
 	rep := &slo.Report{
@@ -110,9 +109,6 @@ func TestRenderNamesDominantStage(t *testing.T) {
 	if !strings.Contains(out, "tenant tiny: fast_burn") {
 		t.Fatalf("report does not show the burning tenant:\n%s", out)
 	}
-	if !strings.Contains(out, "tenant tiny  +2 (total 2)") {
-		t.Fatalf("report missing the anomaly timeline entry:\n%s", out)
-	}
 }
 
 func TestRenderEmptyDump(t *testing.T) {
@@ -121,7 +117,7 @@ func TestRenderEmptyDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"no SLO evaluation", "insufficient history", "no samples", "none in window"} {
+	for _, want := range []string{"no SLO evaluation", "insufficient history", "no samples"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("empty-dump report missing %q:\n%s", want, out)
 		}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -205,7 +206,7 @@ func TestConcurrentTenants(t *testing.T) {
 			cfg := testConfig(t, codec, 2)
 			cfg.CacheBytes = tc.cacheBytes
 			cfg.Tenants = map[string]TenantConfig{tenants[0]: {}, tenants[1]: {}}
-			cfg.Trace = TraceConfig{SampleRate: 1, KeepFraction: 1, RingDepth: requests + 16}
+			cfg.Trace = TraceConfig{KeepFraction: 1, RingDepth: requests + 16}
 			srv, err := New(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -286,14 +287,20 @@ func TestConcurrentTenants(t *testing.T) {
 
 // TestSlowestRequestsRetained runs TestConcurrentTenants' traffic under
 // the production trace configuration, DefaultConfig().Trace: every
-// request head-sampled, 1% kept at random, and a request kept for
-// latency when it ranks in its route's slowest 1% so far. For each
-// traced route, the request the server timed slowest (duration_us in
-// the JSON request log) must have a retained trace kept for latency,
-// and latency keeps must stay at most 5% of requests. Only the slowest
-// request per route is asserted exactly: the rule is online and judges
-// each request against the ones before it, so a slow read that comes
-// after slower ones can be dropped.
+// request recorded, 1% kept at random, and a request kept for latency
+// when it ranks in its route's slowest 1% so far. For each traced
+// route, the request the server timed slowest (duration_us in the JSON
+// request log) must have a retained trace kept for latency, and latency
+// keeps must stay at most 5% of requests. Only the slowest request per
+// route is asserted exactly: the rule is online and judges each request
+// against the ones before it, so a slow read that comes after slower
+// ones can be dropped.
+//
+// The views of one request must also agree, since the middleware reads
+// the clock once at entry and once at exit: every retained trace's root
+// lasts exactly its log line's duration_us, and per route the
+// pastrid_request_latency_seconds histogram counts the logged requests
+// and sums their durations to the log's µs truncation.
 func TestSlowestRequestsRetained(t *testing.T) {
 	codec := core.Defaults(4, 9, 1e-10)
 	streams := concurrentStreams(t, codec)
@@ -318,6 +325,9 @@ func TestSlowestRequestsRetained(t *testing.T) {
 		DurationUS int64  `json:"duration_us"`
 	}
 	slowest := make(map[string][]logged) // route → its requests with the largest duration_us
+	byTrace := make(map[string]logged)
+	count := make(map[string]int64) // route → logged requests
+	sumUS := make(map[string]int64) // route → their summed duration_us
 	records := 0
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
 		var rec logged
@@ -328,6 +338,9 @@ func TestSlowestRequestsRetained(t *testing.T) {
 			continue
 		}
 		records++
+		byTrace[rec.TraceID] = rec
+		count[rec.Route]++
+		sumUS[rec.Route] += rec.DurationUS
 		switch cur := slowest[rec.Route]; {
 		case len(cur) == 0 || rec.DurationUS > cur[0].DurationUS:
 			slowest[rec.Route] = []logged{rec}
@@ -342,6 +355,17 @@ func TestSlowestRequestsRetained(t *testing.T) {
 	reasons := make(map[string]string) // trace ID → keep reason
 	for _, ft := range srv.tracer.Ring() {
 		reasons[ft.TraceID] = ft.KeepReason
+		rec, ok := byTrace[ft.TraceID]
+		if !ok {
+			t.Errorf("retained trace %s has no request log line", ft.TraceID)
+			continue
+		}
+		if got := ft.DurationNS / 1000; got != rec.DurationUS {
+			t.Errorf("%s trace %s: root lasts %d µs, its log line %d µs", rec.Route, ft.TraceID, got, rec.DurationUS)
+		}
+	}
+	if len(reasons) == 0 {
+		t.Fatal("no trace retained")
 	}
 	for _, route := range []string{routeUpload, routeReadBlock} {
 		tied := slowest[route]
@@ -356,4 +380,39 @@ func TestSlowestRequestsRetained(t *testing.T) {
 	if n := srv.tracer.Stats().RetainedByReason[trace.ReasonLatency]; n*20 > requests {
 		t.Errorf("%d of %d requests kept for latency, want at most 5%%", n, requests)
 	}
+
+	scrape := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, route := range []string{routeUpload, routeReadBlock} {
+		const latency = "pastrid_request_latency_seconds"
+		label := `{route="` + route + `"}`
+		if n := metricValue(t, scrape.Body.String(), latency+"_count"+label); n != float64(count[route]) {
+			t.Errorf("%s: %s_count = %g, want the %d logged requests", route, latency, n, count[route])
+		}
+		// The histogram sums exact nanoseconds; duration_us truncates
+		// each request to whole µs, so the sum exceeds 1000× the logged
+		// sum by less than 1000 ns per request.
+		sumNS := int64(math.Round(metricValue(t, scrape.Body.String(), latency+"_sum"+label) * 1e9))
+		if gap := sumNS - 1000*sumUS[route]; gap < 0 || gap >= 1000*count[route] {
+			t.Errorf("%s: %s_sum = %d ns, logged %d µs over %d requests: gap %d ns outside [0, %d)",
+				route, latency, sumNS, sumUS[route], count[route], gap, 1000*count[route])
+		}
+	}
+}
+
+// metricValue returns the value of the one sample in a Prometheus text
+// exposition whose series (name and labels) is exactly series.
+func metricValue(t *testing.T, exposition, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics: %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", series)
+	return 0
 }

@@ -26,11 +26,6 @@ type TenantConfig struct {
 	// CacheBytes sub-caps the tenant's share of the decoded-block cache;
 	// zero means only the global cap applies.
 	CacheBytes int64 `json:"cache_bytes"`
-	// TraceSampleRate overrides the server-wide trace head-sampling
-	// rate for this tenant: a value in (0, 1] samples that fraction of
-	// the tenant's requests, a negative value disables sampling for the
-	// tenant entirely, and zero inherits trace.sample_rate.
-	TraceSampleRate float64 `json:"trace_sample_rate"`
 	// SLO overrides the daemon-wide SLO objectives for this tenant;
 	// zero fields inherit the slo section's defaults.
 	SLO TenantSLOConfig `json:"slo"`
@@ -44,14 +39,14 @@ type TenantSLOConfig struct {
 	UploadP99MS      float64 `json:"upload_p99_ms"`
 	LatencyObjective float64 `json:"latency_objective"`
 	ErrorObjective   float64 `json:"error_objective"`
-	EBObjective      float64 `json:"eb_objective"`
 }
 
 // SLOConfig tunes the SLO burn-rate engine and the embedded metrics
-// history ring behind /debug/slo and /debug/history. Evaluation is
-// always available on demand; the sampler that feeds the history ring
-// (and force-captures profiles on fast burn) runs only when
-// sample_interval_ms >= 0.
+// history ring behind /debug/slo and /debug/history. The objectives are
+// the ones pastrid measures itself: read and upload latency and the 5xx
+// error rate. Evaluation is always available on demand; the sampler
+// that feeds the history ring (and force-captures profiles on fast
+// burn) runs only when sample_interval_ms >= 0.
 type SLOConfig struct {
 	// SampleIntervalMS is the history sampler period; 0 means 15000,
 	// negative disables the background sampler (on-demand /debug/slo
@@ -69,7 +64,7 @@ type SLOConfig struct {
 	HistoryDepth int `json:"history_depth"`
 	// Default objectives for tenants without overrides; zero fields
 	// take the engine defaults (50ms read, 1s upload, 0.99 latency,
-	// 0.999 error, 0.99999 eb).
+	// 0.999 error).
 	Default TenantSLOConfig `json:"default"`
 }
 
@@ -86,17 +81,14 @@ type ProfileConfig struct {
 	MaxProfiles int `json:"max_profiles"`
 }
 
-// TraceConfig tunes request tracing (internal/telemetry/trace): head
-// sampling, the tail-retention rules, and the bounded export ring
-// served by GET /debug/traces.
+// TraceConfig tunes request tracing (internal/telemetry/trace): every
+// request on a traced route records spans, and tail retention alone
+// decides which finished traces enter the bounded export ring served
+// by GET /debug/traces.
 type TraceConfig struct {
-	// SampleRate is the default head-sampling probability in [0, 1].
-	// Unsampled requests still get trace IDs for log correlation; they
-	// just record no spans.
-	SampleRate float64 `json:"sample_rate"`
 	// KeepFraction is the probability in [0, 1] that an unremarkable
-	// finished trace (no error, not in its route's slowest 1%, no
-	// anomaly) is retained anyway, for baseline coverage.
+	// finished trace (no error, not in its route's slowest 1%) is
+	// retained anyway, for baseline coverage.
 	KeepFraction float64 `json:"keep_fraction"`
 	// RingDepth bounds the retained-trace export ring (0 = 256).
 	RingDepth int `json:"ring_depth"`
@@ -138,10 +130,9 @@ type Config struct {
 
 // DefaultConfig returns the baked-in defaults: the paper's 4×9 ERI
 // geometry at the GAMESS 1e-10 bound, a 64 MiB cache, no tenants (the
-// config file must name at least one), and tracing with every request
-// head-sampled but only outliers retained: errors, requests in their
-// route's slowest 1% so far, flight-recorder anomalies, and a 1%
-// random baseline.
+// config file must name at least one), and tracing that records every
+// request but retains only outliers: errors, requests in their route's
+// slowest 1% so far, and a 1% random baseline.
 func DefaultConfig() Config {
 	return Config{
 		Listen:            "127.0.0.1:9641",
@@ -149,10 +140,7 @@ func DefaultConfig() Config {
 		NumSB:             4,
 		SBSize:            9,
 		DefaultErrorBound: 1e-10,
-		Trace: TraceConfig{
-			SampleRate:   1,
-			KeepFraction: 0.01,
-		},
+		Trace:             TraceConfig{KeepFraction: 0.01},
 	}
 }
 
@@ -209,12 +197,6 @@ func (c Config) Validate() error {
 		if tc.CacheBytes < 0 {
 			return fmt.Errorf("server: config: tenant %q: negative cache_bytes", name)
 		}
-		if tc.TraceSampleRate > 1 {
-			return fmt.Errorf("server: config: tenant %q: trace_sample_rate %g above 1", name, tc.TraceSampleRate)
-		}
-	}
-	if c.Trace.SampleRate < 0 || c.Trace.SampleRate > 1 {
-		return fmt.Errorf("server: config: trace.sample_rate %g outside [0, 1]", c.Trace.SampleRate)
 	}
 	if c.Trace.KeepFraction < 0 || c.Trace.KeepFraction > 1 {
 		return fmt.Errorf("server: config: trace.keep_fraction %g outside [0, 1]", c.Trace.KeepFraction)
@@ -261,7 +243,6 @@ func sloObjectives(t TenantSLOConfig) slo.TenantObjectives {
 		UploadP99MS:      t.UploadP99MS,
 		LatencyObjective: t.LatencyObjective,
 		ErrorObjective:   t.ErrorObjective,
-		EBObjective:      t.EBObjective,
 	}
 }
 
@@ -293,15 +274,7 @@ func (c Config) profileConfig() profring.Config {
 
 // traceConfig lowers the JSON trace section into the tracer's Config.
 func (c Config) traceConfig() trace.Config {
-	rates := make(map[string]float64)
-	for t, tc := range c.Tenants {
-		if tc.TraceSampleRate != 0 {
-			rates[t] = tc.TraceSampleRate
-		}
-	}
 	return trace.Config{
-		SampleRate:   c.Trace.SampleRate,
-		TenantRates:  rates,
 		KeepFraction: c.Trace.KeepFraction,
 		RingDepth:    c.Trace.RingDepth,
 		MaxSpans:     c.Trace.MaxSpansPerTrace,

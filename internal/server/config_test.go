@@ -48,6 +48,11 @@ func TestLoadConfigRejects(t *testing.T) {
 		{"no store dir", `{"tenants":{"a":{}}}`, "store_dir is empty"},
 		{"bad geometry", `{"store_dir":"/x","num_sb":-4,"tenants":{"a":{}}}`, "block geometry"},
 		{"negative workers", `{"store_dir":"/x","workers":-1,"tenants":{"a":{}}}`, "negative workers"},
+		// Removed settings fail to load rather than being ignored.
+		{"trace sample rate", `{"store_dir":"/x","tenants":{"a":{}},"trace":{"sample_rate":1}}`, `"sample_rate"`},
+		{"tenant trace sample rate", `{"store_dir":"/x","tenants":{"a":{"trace_sample_rate":0.5}}}`, `"trace_sample_rate"`},
+		{"default eb objective", `{"store_dir":"/x","tenants":{"a":{}},"slo":{"default":{"eb_objective":0.99999}}}`, `"eb_objective"`},
+		{"tenant eb objective", `{"store_dir":"/x","tenants":{"a":{"slo":{"eb_objective":0.99999}}}}`, `"eb_objective"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

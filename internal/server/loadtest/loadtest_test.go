@@ -337,7 +337,7 @@ func TestFleetTraceRetention(t *testing.T) {
 		requests                = writers*streamsPerWriter + reads
 	)
 	ts := newServer(t, 64<<20, func(cfg *server.Config) {
-		cfg.Trace = server.TraceConfig{SampleRate: 1, KeepFraction: 1, RingDepth: requests + 16}
+		cfg.Trace = server.TraceConfig{KeepFraction: 1, RingDepth: requests + 16}
 	})
 	samples := runLoad(t, ts, newStreams(t), readers, readsPerReader)
 

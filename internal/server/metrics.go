@@ -262,15 +262,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Sample("pastrid_inflight_requests", float64(m.inflight.Load()))
 
 	ts := s.tracer.Stats()
-	p.Header("pastrid_traces_started_total", "Requests that entered the tracer (sampled or not).", "counter")
+	p.Header("pastrid_traces_started_total", "Requests that entered the tracer; each records spans.", "counter")
 	p.Sample("pastrid_traces_started_total", float64(ts.TracesStarted))
-	p.Header("pastrid_traces_sampled_total", "Requests head-sampled into span recording.", "counter")
-	p.Sample("pastrid_traces_sampled_total", float64(ts.TracesSampled))
 	p.Header("pastrid_traces_retained_total", "Finished traces kept by tail sampling, by reason.", "counter")
 	for _, reason := range trace.KeepReasons {
 		p.Sample("pastrid_traces_retained_total", float64(ts.RetainedByReason[reason]), "reason", reason)
 	}
-	p.Header("pastrid_trace_spans_total", "Spans recorded across sampled traces.", "counter")
+	p.Header("pastrid_trace_spans_total", "Spans recorded across all traces.", "counter")
 	p.Sample("pastrid_trace_spans_total", float64(ts.SpansStarted))
 	p.Header("pastrid_trace_spans_dropped_total", "Spans dropped by the per-trace span cap.", "counter")
 	p.Sample("pastrid_trace_spans_dropped_total", float64(ts.SpansDropped))

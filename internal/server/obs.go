@@ -16,10 +16,9 @@ import (
 
 // obs.go is pastrid's self-observation loop: a background sampler that
 // snapshots every counter into the metrics history ring, evaluates the
-// SLO burn-rate engine against it, and force-captures profiles when an
-// objective enters fast burn or the flight recorder flags an anomaly —
-// plus the /debug/slo, /debug/history and /readyz handlers that expose
-// the results.
+// SLO burn-rate engine against it, and force-captures a CPU profile
+// when an objective enters fast burn — plus the /debug/slo,
+// /debug/history and /readyz handlers that expose the results.
 
 // samplerHandle owns the background sampler goroutine's lifecycle.
 // The zero value is a never-started sampler; stopSampler is then a
@@ -44,20 +43,15 @@ func (s *Server) startSampler(interval time.Duration) {
 		defer close(s.sampler.done)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
-		// Per-tenant state carried across ticks: the previous SLO state
-		// (to fire profile captures only on transitions into fast burn)
-		// and the previous anomaly totals (to detect new anomalies).
+		// Each tenant's previous SLO state, carried across ticks so
+		// profile captures fire only on transitions into fast burn.
 		prevStates := make(map[string]slo.State)
-		prevAnomalies := make(map[string]uint64)
-		for t, col := range s.collectors {
-			prevAnomalies[t] = anomalyTotal(col)
-		}
 		for {
 			select {
 			case <-s.sampler.stop:
 				return
 			case now := <-tick.C:
-				s.sampleTick(now, prevStates, prevAnomalies)
+				s.sampleTick(now, prevStates)
 			}
 		}
 	}()
@@ -78,10 +72,9 @@ func (s *Server) stopSampler() {
 // sampleTick is one sampler iteration: capture a sample into the
 // history ring, re-evaluate the SLOs, and react — a tenant whose state
 // transitions into fast burn triggers a background CPU capture tagged
-// with the tenant and the most recent retained trace, and a tenant
-// whose flight recorder produced new anomalies triggers a heap
-// capture. Finally the profile ring gets its periodic tick.
-func (s *Server) sampleTick(now time.Time, prevStates map[string]slo.State, prevAnomalies map[string]uint64) {
+// with the tenant and the most recent retained trace. Finally the
+// profile ring gets its periodic tick.
+func (s *Server) sampleTick(now time.Time, prevStates map[string]slo.State) {
 	sample := s.captureSample(now)
 	s.history.Add(sample)
 	rep := s.sloEngine.Evaluate(sample, s.history, s.metrics.tenantQuantiles())
@@ -98,12 +91,6 @@ func (s *Server) sampleTick(now time.Time, prevStates map[string]slo.State, prev
 			// CaptureCPU blocks for the sampling window; run it off the
 			// sampler loop so ticks keep their cadence.
 			go s.forceBurnCapture(tenant, s.lastTraceID())
-		}
-	}
-	for tenant, col := range s.collectors {
-		if n := anomalyTotal(col); n > prevAnomalies[tenant] {
-			prevAnomalies[tenant] = n
-			s.profiles.CaptureHeap(profring.ReasonFlightAnomaly, tenant, s.lastTraceID()) // forced capture is best-effort; the skip counter records failures
 		}
 	}
 	s.profiles.Tick(now)
@@ -128,12 +115,6 @@ func (s *Server) captureSample(now time.Time) tsdb.Sample {
 		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyBlocksDecodedTotal), float64(snap.BlocksDecoded))
 		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyBytesInTotal), float64(snap.BytesIn))
 		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyBytesOutTotal), float64(snap.BytesOutTotal))
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyEBViolationsTotal), float64(snap.EBViolations))
-		var anomalies uint64
-		for _, n := range snap.FlightAnomalies {
-			anomalies += n
-		}
-		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyFlightAnomaliesTotal), float64(anomalies))
 		sample.Set(tsdb.ForTenant(tenant, tsdb.KeyStoreBytes), float64(s.st.Usage(tenant)))
 		for stage, ss := range snap.Stages {
 			sample.Set(tsdb.ForTenant(tenant, tsdb.StageNS(stage)), float64(ss.TotalNS))

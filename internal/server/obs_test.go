@@ -280,7 +280,7 @@ func TestSLOWindowsCountEventsBeforeFirstTick(t *testing.T) {
 	readBlock(t, ts, "it", "s1", 1)
 
 	// What the first tick does, without waiting an interval for it.
-	srv.sampleTick(time.Now(), make(map[string]slo.State), make(map[string]uint64))
+	srv.sampleTick(time.Now(), make(map[string]slo.State))
 	rep := srv.lastSLO.Load()
 	if rep == nil {
 		t.Fatal("sampleTick stored no SLO report")

@@ -17,7 +17,11 @@
 //	                                    endian float64 payload.
 //	DELETE /v1/streams/{id}             delete a stream.
 //	GET    /metrics                     Prometheus text format.
+//	GET    /debug/traces                retained traces, Chrome JSON.
+//	GET    /debug/slo                   SLO burn-rate evaluation.
+//	GET    /debug/history               the metrics history ring.
 //	GET    /healthz                     liveness.
+//	GET    /readyz                      readiness.
 //
 // Errors are JSON: {"error":{"code":"...","message":"..."}} with codes
 // bad_request, unknown_tenant, not_found, exists, quota_exceeded,
@@ -26,6 +30,15 @@
 // the stored bytes identical to a one-shot compression of the same data
 // at any worker count — the property the integration battery checks end
 // to end.
+//
+// Observability reports what the daemon measures. The middleware reads
+// the clock once when a request arrives and once when it finishes; that
+// one interval is the request's root span, its log line's duration_us,
+// its route and tenant latency histograms and its slowest-1% rank.
+// Every request on a /v1 route records spans, and tail retention keeps
+// errors, the slowest 1% per route and a random baseline. The SLO
+// objectives — read latency, upload latency and the 5xx error rate —
+// count only events the daemon itself produces.
 package server
 
 import (
@@ -295,30 +308,22 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 type spanCtxKey struct{}
 
 // spanFrom returns the request's root span, or nil for untraced
-// routes and unsampled requests — every trace.Span method is nil-safe,
-// so callers use the result unconditionally.
+// routes — every trace.Span method is nil-safe, so callers use the
+// result unconditionally.
 func spanFrom(r *http.Request) *trace.Span {
 	sp, _ := r.Context().Value(spanCtxKey{}).(*trace.Span)
 	return sp
-}
-
-// anomalyTotal sums a tenant collector's flight-recorder anomaly
-// counters (0 when no recorder is attached). The before/after delta
-// around a handler is the tail-retention anomaly signal.
-func anomalyTotal(col *telemetry.Collector) uint64 {
-	var n uint64
-	for _, v := range col.Flight().AnomalyCounts() {
-		n += v
-	}
-	return n
 }
 
 // instrument wraps a handler with request logging, metrics, the
 // request's root trace span, and pprof goroutine labels. Quiet routes
 // (scrapes, probes, debug exports) are never traced or labeled — a
 // scraper polling /debug/traces must not push real traces out of the
-// ring, and probe CPU must not pollute tenant attribution. A traced
-// request in its route's slowest 1% so far is kept for latency.
+// ring, and probe CPU must not pollute tenant attribution. The clock is
+// read once at entry and once at exit: the root span, the route and
+// tenant histograms, the slowest-1% rank and the request log all see
+// that one interval. A traced request in its route's slowest 1% so far
+// is kept for latency.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	traced := !quietRoute(route)
 	rh := s.metrics.route(route)
@@ -327,18 +332,12 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		tenant := r.Header.Get("X-Pastri-Tenant")
 		var root *trace.Span
-		var preAnomalies uint64
 		if traced {
-			root = s.tracer.StartRequest(route, tenant, r.Header.Get("Traceparent"))
-			if tp := root.Traceparent(); tp != "" {
-				// Echo the (possibly newly minted) trace context so
-				// clients can correlate their own records with ours.
-				w.Header().Set("Traceparent", tp)
-			}
-			if root.Recording() {
-				preAnomalies = anomalyTotal(s.collectors[tenant])
-				r = r.WithContext(context.WithValue(r.Context(), spanCtxKey{}, root))
-			}
+			root = s.tracer.StartRequest(route, tenant, r.Header.Get("Traceparent"), start)
+			// Echo the (possibly newly minted) trace context so clients
+			// can correlate their own records with ours.
+			w.Header().Set("Traceparent", root.Traceparent())
+			r = r.WithContext(context.WithValue(r.Context(), spanCtxKey{}, root))
 		}
 		s.metrics.inflight.Add(1)
 		if traced {
@@ -367,15 +366,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			if sw.status >= 500 {
 				root.SetError(fmt.Errorf("http status %d", sw.status))
 			}
-			if root.Recording() {
-				if anomalyTotal(s.collectors[tenant]) > preAnomalies {
-					root.ForceKeep(trace.ReasonAnomaly)
-				}
-				if rh.hist.InSlowest1Pct(uint64(elapsed)) {
-					root.ForceKeep(trace.ReasonLatency)
-				}
-			}
-			retained, _ = s.tracer.FinishRequest(root)
+			slow := rh.hist.InSlowest1Pct(uint64(elapsed))
+			retained, _ = s.tracer.FinishRequest(root, elapsed, slow)
 		}
 		s.metrics.observe(rh, route, tenant, sw.status, elapsed, traceID, retained)
 		if quietRoute(route) {

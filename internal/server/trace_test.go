@@ -80,7 +80,7 @@ func TestRequestTraceTree(t *testing.T) {
 	cfg.Tenants = map[string]TenantConfig{"alice": {}}
 	// Keep everything: retention decisions themselves are unit-tested
 	// in the trace package; this test is about span structure.
-	cfg.Trace = TraceConfig{SampleRate: 1, KeepFraction: 1, RingDepth: 64}
+	cfg.Trace = TraceConfig{KeepFraction: 1, RingDepth: 64}
 	srv, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestStageSpansMatchCollector(t *testing.T) {
 	cfg.StoreDir = t.TempDir()
 	cfg.Workers = 2
 	cfg.Tenants = map[string]TenantConfig{"alice": {}}
-	cfg.Trace = TraceConfig{SampleRate: 1, KeepFraction: 1, RingDepth: 8}
+	cfg.Trace = TraceConfig{KeepFraction: 1, RingDepth: 8}
 	srv, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -131,11 +131,10 @@ func parseIndex(idx []byte) (segLen uint64, segCRC uint32, blocks []blockLoc, er
 // use. Blocks decode through core's shared decoder pool, with payload
 // scratch from payloadBufs, so an open segment holds no decoder.
 type Segment struct {
-	tenant, id string
-	f          *os.File
-	cfg        core.Config
-	size       int64
-	blocks     []blockLoc
+	f      *os.File
+	cfg    core.Config
+	size   int64
+	blocks []blockLoc
 }
 
 // payloadBufs recycles block payload scratch across every segment.
@@ -211,12 +210,6 @@ func openSegment(segPath, idxPath string) (_ *Segment, err error) {
 		blocks: blocks,
 	}, nil
 }
-
-// Tenant returns the owning tenant.
-func (g *Segment) Tenant() string { return g.tenant }
-
-// ID returns the stream id.
-func (g *Segment) ID() string { return g.id }
 
 // Config returns the stream's compression configuration.
 func (g *Segment) Config() core.Config { return g.cfg }

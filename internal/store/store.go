@@ -42,7 +42,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/telemetry/trace"
 )
 
@@ -351,7 +350,6 @@ func (s *Store) Get(tenant, id string) (*Segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		seg.tenant, seg.id = tenant, id
 		if s.afterOpen != nil {
 			s.afterOpen()
 		}
@@ -639,23 +637,6 @@ func (w *SegmentWriter) Commit() (err error) {
 		return err
 	}
 	return nil
-}
-
-// Blocks parses the pending segment and returns its block count; it is
-// only meaningful after all stream bytes have been written.
-func (w *SegmentWriter) Blocks() (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	segBytes, err := os.ReadFile(w.segPath + ".tmp")
-	if err != nil {
-		return 0, fmt.Errorf("store: rereading segment: %w", err)
-	}
-	br, err := core.NewBlockReader(segBytes)
-	if err != nil {
-		return 0, fmt.Errorf("store: %v: %w", err, ErrCorrupt)
-	}
-	return br.NumBlocks(), nil
 }
 
 // Bytes returns the number of segment bytes written so far.

@@ -14,8 +14,8 @@ import (
 // the collector's stage histogram and, under a recording span, one
 // finished child span named after the stage with the same duration.
 func TestObserverStageRecordsBothViews(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 1, KeepFraction: 1, Seed: 1})
-	root := tr.StartRequest("upload", "alice", "")
+	tr := trace.New(trace.Config{KeepFraction: 1, Seed: 1})
+	root := tr.StartRequest("upload", "alice", "", time.Now())
 	obs := Observer{Collector: New(-1), Trace: root}
 	for i := 0; i < 3; i++ {
 		st := obs.Stage(StageEncode)
@@ -23,7 +23,7 @@ func TestObserverStageRecordsBothViews(t *testing.T) {
 		st.End()
 	}
 	obs.Stage(StageWrite).End()
-	tr.FinishRequest(root)
+	tr.FinishRequest(root, time.Millisecond, false)
 
 	ring := tr.Ring()
 	if len(ring) != 1 {
@@ -59,10 +59,10 @@ func TestObserverStageRecordsBothViews(t *testing.T) {
 	if got := solo.Collector.Snapshot().Stages[StageDecode.String()].Count; got != 1 {
 		t.Errorf("collector-only decode count %d, want 1", got)
 	}
-	root = tr.StartRequest("read", "alice", "")
+	root = tr.StartRequest("read", "alice", "", time.Now())
 	spanOnly := Observer{Trace: root}
 	spanOnly.Stage(StageDecode).End()
-	tr.FinishRequest(root)
+	tr.FinishRequest(root, time.Millisecond, false)
 	ring = tr.Ring()
 	if last := ring[len(ring)-1]; len(last.Spans) != 2 || last.Spans[1].Name != "decode" {
 		t.Errorf("span-only observer recorded %+v, want one decode child", last.Spans)

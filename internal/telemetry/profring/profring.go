@@ -1,10 +1,9 @@
 // Package profring is a bounded on-disk ring of pprof profiles —
 // pastrid's continuous-profiling store. A sampler captures periodic
-// CPU and heap profiles, and the server force-captures when an SLO
-// objective enters fast burn or the flight recorder flags an anomaly,
-// tagging each capture with the reason, the tenant that triggered it,
-// and the most recent retained trace ID so a profile can be joined
-// back to a trace.
+// CPU and heap profiles, and the server force-captures a CPU profile
+// when an SLO objective enters fast burn, tagging each capture with
+// the reason, the tenant that triggered it, and the most recent
+// retained trace ID so a profile can be joined back to a trace.
 //
 // The ring is disk-bounded, not time-bounded: at most MaxProfiles
 // profile files are kept and the oldest are pruned on each capture, so
@@ -46,10 +45,9 @@ const (
 // Well-known capture reasons (free-form strings; these are the ones
 // pastrid emits).
 const (
-	ReasonPeriodic      = "periodic"
-	ReasonSLOBurn       = "slo_burn"
-	ReasonFlightAnomaly = "flight_anomaly"
-	ReasonForced        = "forced"
+	ReasonPeriodic = "periodic"
+	ReasonSLOBurn  = "slo_burn"
+	ReasonForced   = "forced"
 )
 
 // ErrBusy reports that a CPU capture was skipped because another one

@@ -51,11 +51,11 @@ func TestDisabledRing(t *testing.T) {
 
 func TestCaptureHeapWritesPairAndMeta(t *testing.T) {
 	r := openRing(t, Config{})
-	e, err := r.CaptureHeap(ReasonFlightAnomaly, "acme", "trace-123")
+	e, err := r.CaptureHeap(ReasonForced, "acme", "trace-123")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Kind != KindHeap || e.Reason != ReasonFlightAnomaly || e.Tenant != "acme" || e.TraceID != "trace-123" {
+	if e.Kind != KindHeap || e.Reason != ReasonForced || e.Tenant != "acme" || e.TraceID != "trace-123" {
 		t.Fatalf("entry = %+v", e)
 	}
 	if e.SizeBytes <= 0 || e.HeapAlloc == 0 {

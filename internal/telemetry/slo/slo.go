@@ -36,14 +36,11 @@ const (
 	UploadLatency Objective = "upload_latency"
 	// ErrorRate is "fraction of requests that do not 5xx ≥ error target".
 	ErrorRate Objective = "error_rate"
-	// EBViolations is "fraction of decoded blocks inside the error
-	// bound ≥ eb target" — the paper's correctness promise as an SLO.
-	EBViolations Objective = "eb_violations"
 )
 
 // Objectives lists every dimension in report order.
 func Objectives() []Objective {
-	return []Objective{ReadLatency, UploadLatency, ErrorRate, EBViolations}
+	return []Objective{ReadLatency, UploadLatency, ErrorRate}
 }
 
 // State is an objective's burn verdict.
@@ -95,11 +92,10 @@ type TenantObjectives struct {
 	// milliseconds a request must beat to count as good.
 	ReadP99MS   float64 `json:"read_p99_ms"`
 	UploadP99MS float64 `json:"upload_p99_ms"`
-	// LatencyObjective / ErrorObjective / EBObjective are the target
-	// good fractions, e.g. 0.99 = 1% error budget.
+	// LatencyObjective / ErrorObjective are the target good fractions,
+	// e.g. 0.99 = 1% error budget.
 	LatencyObjective float64 `json:"latency_objective"`
 	ErrorObjective   float64 `json:"error_objective"`
-	EBObjective      float64 `json:"eb_objective"`
 }
 
 // Default objective values, applied field-wise wherever a tenant's
@@ -109,7 +105,6 @@ const (
 	DefaultUploadP99MS      = 1000
 	DefaultLatencyObjective = 0.99
 	DefaultErrorObjective   = 0.999
-	DefaultEBObjective      = 0.99999
 )
 
 func (o TenantObjectives) withDefaults(d TenantObjectives) TenantObjectives {
@@ -124,9 +119,6 @@ func (o TenantObjectives) withDefaults(d TenantObjectives) TenantObjectives {
 	}
 	if o.ErrorObjective == 0 {
 		o.ErrorObjective = d.ErrorObjective
-	}
-	if o.EBObjective == 0 {
-		o.EBObjective = d.EBObjective
 	}
 	return o
 }
@@ -160,7 +152,6 @@ func (c Config) withDefaults() Config {
 		UploadP99MS:      DefaultUploadP99MS,
 		LatencyObjective: DefaultLatencyObjective,
 		ErrorObjective:   DefaultErrorObjective,
-		EBObjective:      DefaultEBObjective,
 	})
 	return c
 }
@@ -276,10 +267,8 @@ func objectiveKeys(o Objective, obj TenantObjectives) (total, bad tsdb.Key, targ
 		return tsdb.KeyReadsTotal, tsdb.KeyReadSlowTotal, obj.LatencyObjective, obj.ReadP99MS
 	case UploadLatency:
 		return tsdb.KeyUploadsTotal, tsdb.KeyUploadSlowTotal, obj.LatencyObjective, obj.UploadP99MS
-	case ErrorRate:
+	default: // ErrorRate
 		return tsdb.KeyRequestsTotal, tsdb.KeyErrorsTotal, obj.ErrorObjective, 0
-	default: // EBViolations
-		return tsdb.KeyBlocksDecodedTotal, tsdb.KeyEBViolationsTotal, obj.EBObjective, 0
 	}
 }
 

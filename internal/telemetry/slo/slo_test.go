@@ -155,7 +155,7 @@ func TestDefaults(t *testing.T) {
 	if o.UploadP99MS != DefaultUploadP99MS || o.LatencyObjective != DefaultLatencyObjective {
 		t.Fatalf("defaults not merged: %+v", o)
 	}
-	if d := e.ObjectivesFor("unknown"); d.EBObjective != DefaultEBObjective {
+	if d := e.ObjectivesFor("unknown"); d.ErrorObjective != DefaultErrorObjective || d.ReadP99MS != DefaultReadP99MS {
 		t.Fatalf("unknown tenant objectives = %+v", d)
 	}
 }

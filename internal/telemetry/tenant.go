@@ -45,8 +45,6 @@ func WriteTenantPrometheus(w io.Writer, tenants map[string]*Collector) error {
 		func(c *Collector) float64 { return float64(c.blocksDecoded.Load()) })
 	each("pastri_tenant_decoded_bytes_out_total", "Raw bytes produced by decode per tenant.",
 		func(c *Collector) float64 { return float64(c.decodedBytesOut.Load()) })
-	each("pastri_tenant_eb_violations_total", "Audited error-bound violations per tenant.",
-		func(c *Collector) float64 { return float64(c.ebViolations.Load()) })
 
 	p.Header("pastri_tenant_blocks_encoded_total", "Blocks per chosen ECQ encoding per tenant.", "counter")
 	for _, t := range names {

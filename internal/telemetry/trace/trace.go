@@ -1,32 +1,31 @@
 // Package trace implements request-scoped distributed tracing for the
 // pastrid service: spans from the HTTP edge down to the PaSTRI encode
-// kernel, W3C traceparent propagation, head sampling plus tail-based
-// retention, and a bounded ring of finished traces exported as Chrome
-// trace-event JSON.
+// kernel, W3C traceparent propagation, tail-based retention, and a
+// bounded ring of finished traces exported as Chrome trace-event JSON.
 //
 // Design rules, mirroring the telemetry.Collector contract:
 //
 //   - A nil *Tracer and a nil *Span are fully usable: every method
 //     nil-checks its receiver first and returns immediately, so
-//     uninstrumented (or unsampled) paths pay one predictable branch
-//     and zero allocations. This is proven by TestNilSpanAllocs and
+//     uninstrumented paths pay one predictable branch and zero
+//     allocations. This is proven by TestNilSpanAllocs and
 //     BenchmarkNilSpan, and gated transitively by the PR 4 kernel
 //     bench gate (core threads spans through the same hot paths).
 //   - Stdlib only. No clocks besides time.Now/Since (annotated for
 //     detlint where reachable from the deterministic pipeline), no
-//     math/rand: sampling decisions use a splitmix64 generator seeded
-//     from crypto/rand (or Config.Seed for deterministic tests).
+//     math/rand: IDs and the random keep use a splitmix64 generator
+//     seeded from crypto/rand (or Config.Seed for deterministic tests).
+//   - A root span reads no clock: StartRequest takes the caller's start
+//     and FinishRequest its elapsed time, so the root's duration is the
+//     interval the caller logs and puts in its latency histograms.
 //   - Spans of one trace share a single mutex-guarded slice; workers
 //     from the parallel pipeline may start/end children concurrently.
 //
-// Sampling is two-staged. Head sampling decides at StartRequest, per
-// tenant, whether the trace records spans at all (unsampled requests
-// still get trace/span IDs so logs stay correlatable). Tail retention
-// decides at FinishRequest which finished traces enter the export
-// ring: errors, traces force-kept by the caller (pastrid keeps a
-// request in its route's slowest 1% and one that raised a
-// flight-recorder anomaly), and a Config.KeepFraction random residue
-// for baseline coverage.
+// Every request records spans; there is no head sampling. Tail
+// retention alone decides, at FinishRequest, which finished traces
+// enter the export ring: errors, traces the caller marks slow (pastrid
+// marks a request in its route's slowest 1% so far), and a
+// Config.KeepFraction random residue for baseline coverage.
 package trace
 
 import (
@@ -44,30 +43,21 @@ const (
 )
 
 // Keep reasons attached to retained traces and used as the label set
-// of the pastrid_traces_retained_total metric. Closed set: ForceKeep
-// maps unknown reasons to ReasonForced so label cardinality is fixed.
+// of the pastrid_traces_retained_total metric, in order of precedence.
 const (
 	ReasonError   = "error"
 	ReasonLatency = "latency"
-	ReasonAnomaly = "anomaly"
-	ReasonForced  = "forced"
 	ReasonRandom  = "random"
 )
 
 // KeepReasons lists every tail-retention reason in stable order.
-var KeepReasons = []string{ReasonError, ReasonLatency, ReasonAnomaly, ReasonForced, ReasonRandom}
+var KeepReasons = [numReasons]string{ReasonError, ReasonLatency, ReasonRandom}
 
-// Config parameterizes a Tracer. The zero value is valid: sample
-// nothing at the head, keep errored and force-kept traces of whatever
-// was sampled, default ring depth and span cap.
+const numReasons = 3
+
+// Config parameterizes a Tracer. The zero value is valid: keep errored
+// and slow traces only, default ring depth and span cap.
 type Config struct {
-	// SampleRate is the default head-sampling probability in [0, 1].
-	SampleRate float64
-
-	// TenantRates overrides SampleRate per tenant. A negative rate
-	// disables head sampling for that tenant entirely.
-	TenantRates map[string]float64
-
 	// KeepFraction is the probability in [0, 1] that an otherwise
 	// unremarkable finished trace is kept anyway, preserving baseline
 	// (non-outlier) traces for comparison. 1.0 keeps everything —
@@ -82,14 +72,14 @@ type Config struct {
 	// DefaultMaxSpans); further StartChild calls count as dropped.
 	MaxSpans int
 
-	// Seed, when nonzero, seeds the sampling RNG deterministically.
-	// Zero seeds from crypto/rand.
+	// Seed, when nonzero, seeds the ID and random-keep generator
+	// deterministically. Zero seeds from crypto/rand.
 	Seed uint64
 }
 
-// A Tracer makes head-sampling decisions, applies tail retention and
-// owns the bounded ring of finished traces. All methods are safe for
-// concurrent use and safe on a nil receiver.
+// A Tracer records the spans of every request, applies tail retention
+// and owns the bounded ring of finished traces. All methods are safe
+// for concurrent use and safe on a nil receiver.
 type Tracer struct {
 	cfg Config
 	rng atomic.Uint64 // splitmix64 state
@@ -97,37 +87,15 @@ type Tracer struct {
 	mu   sync.Mutex
 	ring []*FinishedTrace // oldest first, len <= cfg.RingDepth
 
-	tracesStarted  Counter
-	tracesSampled  Counter
-	tracesFinished Counter
-	spansStarted   Counter
-	spansDropped   Counter
-	retained       [numReasons]Counter
-}
-
-// Counter aliases the telemetry counter idiom without importing the
-// parent package (which must stay import-light); it is a lock-free
-// monotonically increasing counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-const numReasons = 5
-
-var reasonIndex = map[string]int{
-	ReasonError:   0,
-	ReasonLatency: 1,
-	ReasonAnomaly: 2,
-	ReasonForced:  3,
-	ReasonRandom:  4,
+	tracesStarted  atomic.Uint64
+	tracesFinished atomic.Uint64
+	spansStarted   atomic.Uint64
+	spansDropped   atomic.Uint64
+	retained       [numReasons]atomic.Uint64 // indexed like KeepReasons
 }
 
 // New returns a Tracer for cfg, applying defaults for zero RingDepth
-// and MaxSpans and seeding the sampling RNG.
+// and MaxSpans and seeding the ID generator.
 func New(cfg Config) *Tracer {
 	if cfg.RingDepth == 0 {
 		cfg.RingDepth = DefaultRingDepth
@@ -193,47 +161,27 @@ func (t *Tracer) newSpanID() SpanID {
 	return id
 }
 
-// sampleRate resolves the head-sampling probability for a tenant.
-func (t *Tracer) sampleRate(tenant string) float64 {
-	if r, ok := t.cfg.TenantRates[tenant]; ok {
-		if r < 0 {
-			return 0
-		}
-		return r
-	}
-	return t.cfg.SampleRate
-}
-
-// StartRequest opens the root span for one request. The traceparent
-// argument is the raw W3C header value from the incoming request (""
-// if absent): a valid header pins the trace ID, records the remote
-// span as the root's parent, and its sampled flag forces head
-// sampling on. Otherwise a fresh trace ID is drawn and head sampling
-// follows the tenant's configured rate. The returned span always
-// carries usable IDs for log correlation, even when head sampling
-// declined to record; on a nil tracer it is nil.
-func (t *Tracer) StartRequest(name, tenant, traceparent string) *Span {
+// StartRequest opens the recording root span of a request that began
+// at start, the caller's own clock reading. The traceparent argument
+// is the raw W3C header value from the incoming request ("" if
+// absent): a valid header pins the trace ID and records the remote
+// span as the root's parent, whatever its sampled flag says.
+// Otherwise a fresh trace ID is drawn. On a nil tracer the result is
+// nil.
+func (t *Tracer) StartRequest(name, tenant, traceparent string, start time.Time) *Span {
 	if t == nil {
 		return nil
 	}
 	t.tracesStarted.Add(1)
-	s := &Span{tracer: t, root: true}
-	var sampled bool
-	if tid, psid, flags, ok := ParseTraceparent(traceparent); ok {
+	t.spansStarted.Add(1)
+	s := &Span{tracer: t, root: true, start: start}
+	if tid, psid, _, ok := ParseTraceparent(traceparent); ok {
 		s.traceID = tid
 		s.parentID = psid
-		sampled = flags&FlagSampled != 0
 	} else {
 		s.traceID = t.newTraceID()
-		sampled = t.rand01() < t.sampleRate(tenant)
 	}
 	s.spanID = t.newSpanID()
-	s.start = time.Now()
-	if !sampled {
-		return s
-	}
-	t.tracesSampled.Add(1)
-	t.spansStarted.Add(1)
 	at := &activeTrace{tenant: tenant, maxSpans: t.cfg.MaxSpans}
 	at.spans = make([]SpanData, 1, 16)
 	at.spans[0] = SpanData{
@@ -247,36 +195,36 @@ func (t *Tracer) StartRequest(name, tenant, traceparent string) *Span {
 	return s
 }
 
-// FinishRequest ends the root span, applies the tail-retention rules
-// and, when the trace is kept, snapshots it into the export ring.
+// FinishRequest ends the root span with the caller's elapsed time
+// since the start it passed to StartRequest, applies the tail-retention
+// rules and, when the trace is kept, snapshots it into the export ring.
+// Retention keeps, in order of precedence, a trace with an error, a
+// trace the caller marks slow, and a KeepFraction share of the rest.
 // It reports whether the trace was retained and why ("" when not).
-// Nil-safe; spans from unsampled requests finish without recording.
-func (t *Tracer) FinishRequest(root *Span) (retained bool, reason string) {
-	if t == nil || root == nil || !root.root {
+// Nil-safe; a second call on the same root is a no-op.
+func (t *Tracer) FinishRequest(root *Span, elapsed time.Duration, slow bool) (retained bool, reason string) {
+	if t == nil || root == nil || !root.root || root.at == nil {
 		return false, ""
 	}
-	dur := time.Since(root.start)
 	t.tracesFinished.Add(1)
 	at := root.at
-	if at == nil {
-		return false, ""
-	}
-	root.at = nil // second FinishRequest is a no-op
+	root.at = nil
 	at.mu.Lock()
-	at.spans[0].DurationNS = dur.Nanoseconds()
+	at.spans[0].DurationNS = elapsed.Nanoseconds()
 	at.spans[0].Error = at.spans[0].Error || at.err
+	var reasonIdx int // into KeepReasons
 	switch {
 	case at.err:
-		reason = ReasonError
-	case at.forced != "":
-		reason = at.forced
+		reasonIdx = 0
+	case slow:
+		reasonIdx = 1
 	case t.cfg.KeepFraction > 0 && t.rand01() < t.cfg.KeepFraction:
-		reason = ReasonRandom
-	}
-	if reason == "" {
+		reasonIdx = 2
+	default:
 		at.mu.Unlock()
 		return false, ""
 	}
+	reason = KeepReasons[reasonIdx]
 	ft := &FinishedTrace{
 		TraceID:      root.traceID.String(),
 		Name:         at.spans[0].Name,
@@ -288,7 +236,7 @@ func (t *Tracer) FinishRequest(root *Span) (retained bool, reason string) {
 		Spans:        at.spans,
 	}
 	at.mu.Unlock()
-	t.retained[reasonIndex[reason]].Add(1)
+	t.retained[reasonIdx].Add(1)
 	t.mu.Lock()
 	if len(t.ring) >= t.cfg.RingDepth {
 		copy(t.ring, t.ring[1:])
@@ -314,6 +262,9 @@ func (t *Tracer) Ring() []*FinishedTrace {
 }
 
 // Stats is a point-in-time snapshot of tracer activity counters.
+// TracesSampled equals TracesStarted, since every request records
+// spans; it stays so the Stats JSON shape, which the trace schema
+// golden pins, is unchanged.
 type Stats struct {
 	TracesStarted    uint64            `json:"traces_started"`
 	TracesSampled    uint64            `json:"traces_sampled"`
@@ -330,16 +281,17 @@ func (t *Tracer) Stats() Stats {
 	if t == nil {
 		return Stats{RetainedByReason: map[string]uint64{}}
 	}
+	started := t.tracesStarted.Load()
 	s := Stats{
-		TracesStarted:    t.tracesStarted.Load(),
-		TracesSampled:    t.tracesSampled.Load(),
+		TracesStarted:    started,
+		TracesSampled:    started,
 		TracesFinished:   t.tracesFinished.Load(),
 		SpansStarted:     t.spansStarted.Load(),
 		SpansDropped:     t.spansDropped.Load(),
 		RetainedByReason: make(map[string]uint64, len(KeepReasons)),
 	}
-	for _, r := range KeepReasons {
-		n := t.retained[reasonIndex[r]].Load()
+	for i, r := range KeepReasons {
+		n := t.retained[i].Load()
 		s.RetainedByReason[r] = n
 		s.TracesRetained += n
 	}
@@ -349,8 +301,8 @@ func (t *Tracer) Stats() Stats {
 	return s
 }
 
-// An activeTrace accumulates the spans of one sampled in-flight
-// request. Shared by every span of the trace; the mutex makes
+// An activeTrace accumulates the spans of one in-flight request.
+// Shared by every span of the trace; the mutex makes
 // concurrent StartChild/End from pipeline workers safe.
 type activeTrace struct {
 	tenant   string
@@ -360,7 +312,6 @@ type activeTrace struct {
 	spans   []SpanData // index 0 is the root
 	dropped int
 	err     bool
-	forced  string // tail keep reason forced by the caller
 }
 
 // SpanData is the recorded form of one span, as serialized in
@@ -396,11 +347,11 @@ type FinishedTrace struct {
 
 // A Span is one live timed operation within a trace. The zero of the
 // API is nil: every method nil-checks the receiver, and StartChild on
-// a nil or non-recording span returns nil, so instrumentation costs
-// one branch when tracing is off. Spans are not reusable after End.
+// a nil or ended span returns nil, so instrumentation costs one branch
+// when tracing is off. Spans are not reusable after End.
 type Span struct {
 	tracer   *Tracer
-	at       *activeTrace // nil when head sampling declined
+	at       *activeTrace // nil once ended
 	traceID  TraceID
 	spanID   SpanID
 	parentID SpanID // remote parent for roots, local parent for children
@@ -410,7 +361,8 @@ type Span struct {
 }
 
 // Recording reports whether the span is live and recording span data
-// (head-sampled and under the span cap). False on nil.
+// (not yet ended). False on nil, which is also what StartChild returns
+// past the span cap.
 func (s *Span) Recording() bool { return s != nil && s.at != nil }
 
 // TraceID returns the 32-hex-digit trace ID, or "" on nil.
@@ -430,21 +382,17 @@ func (s *Span) SpanID() string {
 }
 
 // Traceparent renders the W3C traceparent header value identifying
-// this span, with the sampled flag reflecting whether the trace is
-// recording. "" on nil.
+// this span. The sampled flag is always set, since every trace records.
+// "" on nil.
 func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	var flags byte
-	if s.at != nil {
-		flags = FlagSampled
-	}
-	return FormatTraceparent(s.traceID, s.spanID, flags)
+	return FormatTraceparent(s.traceID, s.spanID, FlagSampled)
 }
 
-// StartChild opens a child span. On a nil or non-recording receiver
-// it returns nil (zero further cost); when the trace has hit its span
+// StartChild opens a child span. On a nil or ended receiver it
+// returns nil (zero further cost); when the trace has hit its span
 // cap the child is counted as dropped and nil is returned.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil || s.at == nil {
@@ -452,7 +400,7 @@ func (s *Span) StartChild(name string) *Span {
 	}
 	at := s.at
 	t := s.tracer
-	// Sampled-trace slow path: reached from hot kernels only when a span is recording; the nil-span fast path above allocates nothing
+	// Recording-trace slow path: reached from hot kernels only when a span is recording; the nil-span fast path above allocates nothing
 	child := &Span{
 		tracer:   t,
 		traceID:  s.traceID,
@@ -469,7 +417,7 @@ func (s *Span) StartChild(name string) *Span {
 	}
 	child.at = at
 	child.idx = len(at.spans)
-	// Sampled-trace slow path: span storage grows only while a trace is recording
+	// Recording-trace slow path: span storage grows only while a trace is recording
 	at.spans = append(at.spans, SpanData{
 		SpanID:      child.spanID.String(),
 		ParentID:    s.spanID.String(),
@@ -485,8 +433,8 @@ func (s *Span) StartChild(name string) *Span {
 // RecordChild records an already finished child span that started at
 // start and lasted d, under the same span cap as StartChild. It is for
 // callers that time an interval themselves (the pipeline's stage
-// timers): one lock, and no live *Span is allocated. A nil or
-// non-recording receiver records nothing.
+// timers): one lock, and no live *Span is allocated. A nil or ended
+// receiver records nothing.
 func (s *Span) RecordChild(name string, start time.Time, d time.Duration) {
 	if s == nil || s.at == nil {
 		return
@@ -501,7 +449,7 @@ func (s *Span) RecordChild(name string, start time.Time, d time.Duration) {
 		t.spansDropped.Add(1)
 		return
 	}
-	// Sampled-trace slow path: span storage grows only while a trace is recording
+	// Recording-trace slow path: span storage grows only while a trace is recording
 	at.spans = append(at.spans, SpanData{
 		SpanID:      spanID.String(),
 		ParentID:    s.spanID.String(),
@@ -538,7 +486,7 @@ func (s *Span) Annotate(key, value string) {
 	}
 	at := s.at
 	at.mu.Lock()
-	// Sampled-trace slow path: attributes accumulate only while a trace is recording
+	// Recording-trace slow path: attributes accumulate only while a trace is recording
 	at.spans[s.idx].Attrs = append(at.spans[s.idx].Attrs, Attr{Key: key, Value: value})
 	at.mu.Unlock()
 }
@@ -551,8 +499,8 @@ func (s *Span) AnnotateInt(key string, value int64) {
 	s.Annotate(key, itoa(value))
 }
 
-// SetError marks the span (and, transitively, its trace: the tail
-// sampler always keeps errored traces) as failed. A nil err still
+// SetError marks the span (and, transitively, its trace: tail
+// retention always keeps errored traces) as failed. A nil err still
 // marks the span. No-op on nil spans.
 func (s *Span) SetError(err error) {
 	if s == nil || s.at == nil {
@@ -565,26 +513,6 @@ func (s *Span) SetError(err error) {
 		at.spans[s.idx].Attrs = append(at.spans[s.idx].Attrs, Attr{Key: "error_detail", Value: err.Error()})
 	}
 	at.err = true
-	at.mu.Unlock()
-}
-
-// ForceKeep requests tail retention for the span's trace regardless
-// of the random keep fraction; the first reason forced is the one
-// kept. ReasonLatency and ReasonAnomaly are recorded as given; any
-// other reason is recorded as ReasonForced to keep the metric label
-// set closed.
-func (s *Span) ForceKeep(reason string) {
-	if s == nil || s.at == nil {
-		return
-	}
-	if reason != ReasonLatency && reason != ReasonAnomaly {
-		reason = ReasonForced
-	}
-	at := s.at
-	at.mu.Lock()
-	if at.forced == "" {
-		at.forced = reason
-	}
 	at.mu.Unlock()
 }
 

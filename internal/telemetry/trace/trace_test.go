@@ -12,7 +12,7 @@ import (
 )
 
 // deterministicTracer returns a tracer with a fixed RNG seed so
-// sampling decisions are reproducible.
+// IDs and random keeps are reproducible.
 func deterministicTracer(cfg Config) *Tracer {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
@@ -57,57 +57,58 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestHeadSamplingRates(t *testing.T) {
-	tr := deterministicTracer(Config{
-		SampleRate:  1,
-		TenantRates: map[string]float64{"quiet": 0, "off": -1},
-	})
-	if sp := tr.StartRequest("read_block", "alice", ""); !sp.Recording() {
-		t.Error("rate-1.0 tenant not recording")
+// TestIncomingTraceparentPinsTrace: a valid incoming header pins the
+// trace ID and parents the root under the remote span, and the trace
+// records whatever the header's sampled flag says — retention, not the
+// caller, decides what is kept.
+func TestIncomingTraceparentPinsTrace(t *testing.T) {
+	tr := deterministicTracer(Config{KeepFraction: 1})
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+	} {
+		sp := tr.StartRequest("upload", "alice", h, time.Now())
+		if !sp.Recording() {
+			t.Fatalf("%s: root not recording", h)
+		}
+		if got := sp.TraceID(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
+			t.Fatalf("%s: trace id = %s, want inherited", h, got)
+		}
+		if got, want := sp.Traceparent(), "00-4bf92f3577b34da6a3ce929d0e0e4736-"+sp.SpanID()+"-01"; got != want {
+			t.Fatalf("%s: echoed traceparent = %s, want %s", h, got, want)
+		}
+		if kept, _ := tr.FinishRequest(sp, time.Millisecond, false); !kept {
+			t.Fatalf("%s: trace not retained at KeepFraction 1", h)
+		}
 	}
-	for _, tenant := range []string{"quiet", "off"} {
-		sp := tr.StartRequest("read_block", tenant, "")
-		if sp.Recording() {
-			t.Errorf("tenant %q recording despite disabled rate", tenant)
-		}
-		// Unsampled spans still correlate logs.
-		if sp.TraceID() == "" || sp.SpanID() == "" {
-			t.Errorf("tenant %q: unsampled span missing IDs", tenant)
-		}
-		if sp.StartChild("x") != nil {
-			t.Errorf("tenant %q: StartChild on unsampled span != nil", tenant)
-		}
-		if kept, _ := tr.FinishRequest(sp); kept {
-			t.Errorf("tenant %q: unsampled trace retained", tenant)
+	ring := tr.Ring()
+	if len(ring) != 2 {
+		t.Fatalf("ring length = %d, want 2", len(ring))
+	}
+	for _, ft := range ring {
+		if ft.Spans[0].ParentID != "00f067aa0ba902b7" {
+			t.Fatalf("root parent = %q, want remote span id", ft.Spans[0].ParentID)
 		}
 	}
 }
 
-func TestIncomingTraceparentPinsTraceAndForcesSampling(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 0, KeepFraction: 1})
-	h := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	sp := tr.StartRequest("upload", "alice", h)
-	if !sp.Recording() {
-		t.Fatal("sampled incoming traceparent did not force recording")
-	}
-	if got := sp.TraceID(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Fatalf("trace id = %s, want inherited", got)
-	}
-	kept, _ := tr.FinishRequest(sp)
-	if !kept {
+// TestRootTakesCallerInterval: the root span's start and duration are
+// exactly the caller's, so a retained trace agrees with the caller's
+// request log and latency histograms.
+func TestRootTakesCallerInterval(t *testing.T) {
+	tr := deterministicTracer(Config{KeepFraction: 1})
+	start := time.Unix(1700000000, 123456789)
+	sp := tr.StartRequest("read_block", "alice", "", start)
+	sp.StartChild("cache.lookup").End()
+	if kept, _ := tr.FinishRequest(sp, 1234567*time.Nanosecond, false); !kept {
 		t.Fatal("trace not retained at KeepFraction 1")
 	}
-	ring := tr.Ring()
-	if len(ring) != 1 {
-		t.Fatalf("ring length = %d", len(ring))
+	ft := tr.Ring()[0]
+	if ft.StartUnixNS != start.UnixNano() || ft.Spans[0].StartUnixNS != start.UnixNano() {
+		t.Fatalf("root start = %d / %d, want %d", ft.StartUnixNS, ft.Spans[0].StartUnixNS, start.UnixNano())
 	}
-	if ring[0].Spans[0].ParentID != "00f067aa0ba902b7" {
-		t.Fatalf("root parent = %q, want remote span id", ring[0].Spans[0].ParentID)
-	}
-	// Unsampled incoming flag: IDs inherited, recording off.
-	h0 := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00"
-	if sp := tr.StartRequest("upload", "alice", h0); sp.Recording() {
-		t.Fatal("unsampled incoming traceparent forced recording")
+	if ft.DurationNS != 1234567 || ft.Spans[0].DurationNS != 1234567 {
+		t.Fatalf("root duration = %d / %d ns, want 1234567", ft.DurationNS, ft.Spans[0].DurationNS)
 	}
 }
 
@@ -115,24 +116,23 @@ func TestTailRetentionRules(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
-		drive func(tr *Tracer, sp *Span)
+		slow  bool
+		drive func(sp *Span)
 		want  string // "" = dropped
 	}{
-		{"error", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.SetError(errors.New("boom")) }, ReasonError},
-		{"latency", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep(ReasonLatency) }, ReasonLatency},
-		{"anomaly", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep(ReasonAnomaly) }, ReasonAnomaly},
-		{"forced", Config{SampleRate: 1}, func(_ *Tracer, sp *Span) { sp.ForceKeep("because") }, ReasonForced},
-		{"random-all", Config{SampleRate: 1, KeepFraction: 1}, nil, ReasonRandom},
-		{"dropped", Config{SampleRate: 1}, nil, ""},
+		{"error", Config{}, true, func(sp *Span) { sp.SetError(errors.New("boom")) }, ReasonError},
+		{"latency", Config{KeepFraction: 1}, true, nil, ReasonLatency},
+		{"random-all", Config{KeepFraction: 1}, false, nil, ReasonRandom},
+		{"dropped", Config{}, false, nil, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := deterministicTracer(tc.cfg)
-			sp := tr.StartRequest("read_block", "alice", "")
+			sp := tr.StartRequest("read_block", "alice", "", time.Now())
 			if tc.drive != nil {
-				tc.drive(tr, sp)
+				tc.drive(sp)
 			}
-			kept, reason := tr.FinishRequest(sp)
+			kept, reason := tr.FinishRequest(sp, time.Millisecond, tc.slow)
 			if (tc.want != "") != kept || reason != tc.want {
 				t.Fatalf("FinishRequest = (%v, %q), want reason %q", kept, reason, tc.want)
 			}
@@ -152,10 +152,10 @@ func TestTailRetentionRules(t *testing.T) {
 }
 
 func TestRingBounded(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1, RingDepth: 4})
+	tr := deterministicTracer(Config{KeepFraction: 1, RingDepth: 4})
 	for i := 0; i < 10; i++ {
-		sp := tr.StartRequest(fmt.Sprintf("req%d", i), "alice", "")
-		tr.FinishRequest(sp)
+		sp := tr.StartRequest(fmt.Sprintf("req%d", i), "alice", "", time.Now())
+		tr.FinishRequest(sp, time.Millisecond, false)
 	}
 	ring := tr.Ring()
 	if len(ring) != 4 {
@@ -169,8 +169,8 @@ func TestRingBounded(t *testing.T) {
 }
 
 func TestSpanCapDropsAndCounts(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1, MaxSpans: 3})
-	sp := tr.StartRequest("upload", "alice", "")
+	tr := deterministicTracer(Config{KeepFraction: 1, MaxSpans: 3})
+	sp := tr.StartRequest("upload", "alice", "", time.Now())
 	a := sp.StartChild("a")
 	b := sp.StartChild("b")
 	c := sp.StartChild("c") // over cap: root + a + b = 3
@@ -182,7 +182,7 @@ func TestSpanCapDropsAndCounts(t *testing.T) {
 	}
 	a.End()
 	b.End()
-	tr.FinishRequest(sp)
+	tr.FinishRequest(sp, time.Millisecond, false)
 	ring := tr.Ring()
 	if len(ring) != 1 || len(ring[0].Spans) != 3 || ring[0].DroppedSpans != 1 {
 		t.Fatalf("ring = %+v, want 3 spans with 1 dropped", ring[0])
@@ -194,16 +194,16 @@ func TestSpanCapDropsAndCounts(t *testing.T) {
 
 // TestRecordChild: a finished child recorded after the fact lands
 // under its parent with the given start and duration, obeys the span
-// cap like StartChild, and is a no-op on nil or non-recording spans.
+// cap like StartChild, and is a no-op on nil or ended spans.
 func TestRecordChild(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1, MaxSpans: 3})
-	sp := tr.StartRequest("upload", "alice", "")
+	tr := deterministicTracer(Config{KeepFraction: 1, MaxSpans: 3})
+	sp := tr.StartRequest("upload", "alice", "", time.Now())
 	c := sp.StartChild("compress")
 	start := time.Unix(100, 5)
 	c.RecordChild("encode", start, 42*time.Microsecond)
 	c.RecordChild("write", start, time.Microsecond) // over cap: root + compress + encode = 3
 	c.End()
-	tr.FinishRequest(sp)
+	tr.FinishRequest(sp, time.Millisecond, false)
 	ring := tr.Ring()
 	if len(ring) != 1 || len(ring[0].Spans) != 3 || ring[0].DroppedSpans != 1 {
 		t.Fatalf("ring = %+v, want 3 spans with 1 dropped", ring)
@@ -220,16 +220,15 @@ func TestRecordChild(t *testing.T) {
 
 	var nilSpan *Span
 	nilSpan.RecordChild("encode", start, time.Second)
-	unsampled := deterministicTracer(Config{}).StartRequest("upload", "alice", "")
-	unsampled.RecordChild("encode", start, time.Second)
-	if unsampled.Recording() {
-		t.Fatal("unsampled root is recording")
+	c.RecordChild("encode", start, time.Second) // c has ended
+	if n := len(tr.Ring()[0].Spans); n != 3 {
+		t.Fatalf("ended span recorded a child: %d spans, want 3", n)
 	}
 }
 
 func TestSpanTreeParentage(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1})
-	root := tr.StartRequest("upload", "alice", "")
+	tr := deterministicTracer(Config{KeepFraction: 1})
+	root := tr.StartRequest("upload", "alice", "", time.Now())
 	compress := root.StartChild("compress")
 	encode := compress.StartChild("encode")
 	encode.Annotate("block", "0")
@@ -239,7 +238,7 @@ func TestSpanTreeParentage(t *testing.T) {
 	fsync := commit.StartChild("store.fsync")
 	fsync.End()
 	commit.End()
-	tr.FinishRequest(root)
+	tr.FinishRequest(root, time.Millisecond, false)
 
 	ring := tr.Ring()
 	if len(ring) != 1 {
@@ -284,26 +283,26 @@ func TestSpanTreeParentage(t *testing.T) {
 }
 
 func TestDoubleEndAndDoubleFinishAreNoOps(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1})
-	root := tr.StartRequest("upload", "alice", "")
+	tr := deterministicTracer(Config{KeepFraction: 1})
+	root := tr.StartRequest("upload", "alice", "", time.Now())
 	c := root.StartChild("compress")
 	c.End()
 	c.End()
 	c.Annotate("late", "ignored") // annotate after End: no-op, must not panic
-	if kept, _ := tr.FinishRequest(root); !kept {
+	if kept, _ := tr.FinishRequest(root, time.Millisecond, false); !kept {
 		t.Fatal("first FinishRequest dropped")
 	}
-	if kept, _ := tr.FinishRequest(root); kept {
+	if kept, _ := tr.FinishRequest(root, time.Millisecond, false); kept {
 		t.Fatal("second FinishRequest retained again")
 	}
-	if st := tr.Stats(); st.RingTraces != 1 {
-		t.Fatalf("ring traces = %d, want 1", st.RingTraces)
+	if st := tr.Stats(); st.RingTraces != 1 || st.TracesFinished != 1 {
+		t.Fatalf("ring traces = %d, finished = %d, want 1 and 1", st.RingTraces, st.TracesFinished)
 	}
 }
 
 func TestConcurrentChildren(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1, MaxSpans: 4096})
-	root := tr.StartRequest("upload", "alice", "")
+	tr := deterministicTracer(Config{KeepFraction: 1, MaxSpans: 4096})
+	root := tr.StartRequest("upload", "alice", "", time.Now())
 	var wg sync.WaitGroup
 	const workers, perWorker = 8, 50
 	for w := 0; w < workers; w++ {
@@ -318,7 +317,7 @@ func TestConcurrentChildren(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	tr.FinishRequest(root)
+	tr.FinishRequest(root, time.Millisecond, false)
 	ring := tr.Ring()
 	if len(ring) != 1 {
 		t.Fatalf("ring length = %d", len(ring))
@@ -338,7 +337,7 @@ func TestConcurrentChildren(t *testing.T) {
 
 func TestNilTracerAndNilSpanSafe(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartRequest("upload", "alice", "")
+	sp := tr.StartRequest("upload", "alice", "", time.Now())
 	if sp != nil {
 		t.Fatal("nil tracer returned non-nil span")
 	}
@@ -347,11 +346,10 @@ func TestNilTracerAndNilSpanSafe(t *testing.T) {
 	sp.Annotate("k", "v")
 	sp.AnnotateInt("k", 1)
 	sp.SetError(errors.New("x"))
-	sp.ForceKeep(ReasonAnomaly)
 	if sp.StartChild("x") != nil || sp.Recording() || sp.TraceID() != "" || sp.SpanID() != "" || sp.Traceparent() != "" {
 		t.Fatal("nil span leaked state")
 	}
-	if kept, _ := tr.FinishRequest(sp); kept {
+	if kept, _ := tr.FinishRequest(sp, time.Millisecond, true); kept {
 		t.Fatal("nil tracer retained a trace")
 	}
 	if got := tr.Ring(); got != nil {
@@ -360,14 +358,14 @@ func TestNilTracerAndNilSpanSafe(t *testing.T) {
 	if st := tr.Stats(); st.TracesStarted != 0 {
 		t.Fatal("nil tracer stats nonzero")
 	}
-	if cfg := tr.Config(); cfg.RingDepth != 0 || cfg.SampleRate != 0 {
+	if cfg := tr.Config(); cfg.RingDepth != 0 || cfg.KeepFraction != 0 {
 		t.Fatal("nil tracer config nonzero")
 	}
 }
 
 func TestWriteChromeShape(t *testing.T) {
-	tr := deterministicTracer(Config{SampleRate: 1, KeepFraction: 1})
-	root := tr.StartRequest("read_block", "alice", "")
+	tr := deterministicTracer(Config{KeepFraction: 1})
+	root := tr.StartRequest("read_block", "alice", "", time.Now())
 	lookup := root.StartChild("cache.lookup")
 	lookup.Annotate("cache_outcome", "miss")
 	fill := lookup.StartChild("cache.fill")
@@ -375,7 +373,7 @@ func TestWriteChromeShape(t *testing.T) {
 	lookup.End()
 	leak := root.StartChild("leaked")
 	_ = leak // deliberately never ended: export must mark it unfinished
-	tr.FinishRequest(root)
+	tr.FinishRequest(root, time.Millisecond, false)
 
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr.Ring()); err != nil {
@@ -474,18 +472,18 @@ func BenchmarkNilSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordingSpan measures the sampled path for contrast; the
+// BenchmarkRecordingSpan measures the recording path for contrast; the
 // trace is finished (and dropped) every 256 spans so span storage
 // stays bounded across b.N.
 func BenchmarkRecordingSpan(b *testing.B) {
-	tr := New(Config{SampleRate: 1, Seed: 42})
-	root := tr.StartRequest("bench", "alice", "")
+	tr := New(Config{Seed: 42})
+	root := tr.StartRequest("bench", "alice", "", time.Now())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%256 == 255 {
-			tr.FinishRequest(root)
-			root = tr.StartRequest("bench", "alice", "")
+			tr.FinishRequest(root, time.Millisecond, false)
+			root = tr.StartRequest("bench", "alice", "", time.Now())
 		}
 		c := root.StartChild("encode")
 		c.End()

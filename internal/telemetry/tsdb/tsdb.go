@@ -45,13 +45,11 @@ const (
 	KeyUploadSlowTotal Key = "upload_slow_total"
 
 	// Per-tenant pipeline accounting (from the tenant collectors).
-	KeyBlocksTotal          Key = "blocks_total"
-	KeyBlocksDecodedTotal   Key = "blocks_decoded_total"
-	KeyBytesInTotal         Key = "bytes_in_total"
-	KeyBytesOutTotal        Key = "bytes_out_total"
-	KeyEBViolationsTotal    Key = "eb_violations_total"
-	KeyFlightAnomaliesTotal Key = "flight_anomalies_total"
-	KeyStoreBytes           Key = "store_bytes"
+	KeyBlocksTotal        Key = "blocks_total"
+	KeyBlocksDecodedTotal Key = "blocks_decoded_total"
+	KeyBytesInTotal       Key = "bytes_in_total"
+	KeyBytesOutTotal      Key = "bytes_out_total"
+	KeyStoreBytes         Key = "store_bytes"
 
 	// Process-wide series.
 	KeyCacheHitsTotal      Key = "cache_hits_total"

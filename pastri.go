@@ -162,11 +162,6 @@ type TraceRecord = telemetry.TraceRecord
 // (the most recent 256 blocks).
 func NewCollector() *Collector { return telemetry.New(0) }
 
-// NewCollectorTraceDepth returns a Collector whose trace ring retains
-// depth blocks (0 ⇒ default, negative ⇒ tracing disabled; counters,
-// histograms and timers are always on).
-func NewCollectorTraceDepth(depth int) *Collector { return telemetry.New(depth) }
-
 // MetricsHandler returns an http.Handler serving Prometheus text
 // format for whatever collector get returns at scrape time (nil is
 // fine: runtime gauges are still served). Mount it at /metrics next to
